@@ -32,6 +32,7 @@ from .pollock import (
     min_term_decomposition,
     platonic_pool,
     scan_conjecture,
+    scan_with_witnesses,
     verify_witness,
     witness_from_values,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "represent_tetrahedral",
     "residue_sequence",
     "scan_conjecture",
+    "scan_with_witnesses",
     "verify_witness",
     "witness_from_values",
 ]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .identities import identity_residual
 from .periodicity import PeriodConsistencyError, check_period_claim
-from .pollock import iter_witnesses, scan_conjecture
+from .pollock import scan_with_witnesses
 from .representations import NotDivisibleError, represent_multiple
 from .sequences import (
     PlatonicKind,
@@ -280,24 +280,16 @@ def _cmd_pollock(args: argparse.Namespace) -> int:
     if args.witnesses and args.format == "csv":
         raise ValueError("witness streaming needs table or json format")
     chunks: list[str] = []
+    report, witnesses = scan_with_witnesses(
+        args.n, max_terms=args.max_terms, strict_distinct=args.strict_distinct
+    )
     if args.witnesses:
-        for witness in iter_witnesses(
-            args.n,
-            max_terms=args.max_terms,
-            strict_distinct=args.strict_distinct,
-            workers=args.workers,
-        ):
+        for witness in witnesses:
             if args.format == "json":
                 chunks.append(json.dumps(witness.to_json_dict()) + "\n")
             else:
                 terms = " + ".join(str(v) for v in witness.term_values)
                 chunks.append(f"{witness.target} = {terms}\n")
-    report = scan_conjecture(
-        args.n,
-        max_terms=args.max_terms,
-        strict_distinct=args.strict_distinct,
-        workers=args.workers,
-    )
     if args.format == "json":
         chunks.append(json.dumps(report.to_json_dict()) + "\n")
     elif args.format == "csv":
@@ -451,7 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="forbid repeated values inside a decomposition",
     )
-    pollock.add_argument("--workers", type=int, default=1, metavar="W")
     pollock.set_defaults(handler=_cmd_pollock)
 
     tables = subparsers.add_parser(

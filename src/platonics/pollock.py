@@ -2,18 +2,27 @@
 
 The pool is the union of the five families' values up to a limit, with the
 provenance of every value kept so a witness can be re-derived and checked
-independently.  Reachability runs in layers over dense bitsets (Python
-ints), one layer per additional term, so min-term counts are exact and the
+independently.  Reachability runs in layers over bitsets (Python ints), one
+cumulative layer per additional term, so min-term counts are exact and the
 whole scan is deterministic.  By default values may repeat inside a witness
 (the five families are what must differ); strict-distinct mode forbids
 repeated values.
+
+With repeats, each layer is built by the method that suits its density.
+Layers 1 and 2 are sparse, so their sums are enumerated into a bit-packed
+buffer.  A later layer shift-ors the previous one by pool values while
+holes (integers not yet reached) are dense, then tests each remaining hole
+against the values not yet shifted in.  Layering stops at the fixpoint,
+and failures are read from the set bits of the final complement.  Every
+layer is bit-identical to the plain shift-or over the whole pool.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 from .sequences import PlatonicKind, platonic_value
 
@@ -124,60 +133,128 @@ def witness_from_values(
     return Witness(target=target, terms=tuple(terms))
 
 
-def _shifted_union(mask: int, values: list[int], workers: int) -> int:
-    """Union of mask shifted by every pool value; order-independent."""
-    if workers <= 1 or len(values) < 2 * workers:
-        acc = 0
-        for v in values:
-            acc |= mask << v
-        return acc
-    chunks = [values[i::workers] for i in range(workers)]
-
-    def chunk_union(chunk: list[int]) -> int:
-        acc = 0
-        for v in chunk:
-            acc |= mask << v
-        return acc
-
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        parts = list(executor.map(chunk_union, chunks))
-    acc = 0
-    for part in parts:
-        acc |= part
-    return acc
-
-
 def _layer_masks(
     values: list[int],
     limit: int,
     max_terms: int,
     strict_distinct: bool,
-    workers: int,
     stop_bit: int | None = None,
 ) -> list[int]:
     """Cumulative reachability masks; masks[k] = sums of at most k terms.
 
-    Bit 0 stands for the empty sum.  With stop_bit set, layering stops as
-    soon as that bit appears (single-target use).
+    `values` must be ascending and lie in [1, limit], and max_terms must be
+    at least 1.  Bit 0 stands for the empty sum.  With stop_bit set,
+    layering stops as soon as that bit appears (single-target use).
+    Layering also stops at the fixpoint, so the list may be shorter than
+    max_terms + 1: every later mask equals the last one.
     """
     full = (1 << (limit + 1)) - 1
     masks = [1]
     if strict_distinct:
-        exact = [1] + [0] * max_terms
+        # k distinct values need k pool values, so exact[k] = 0 beyond that
+        depth = min(max_terms, len(values))
+        exact = [1] + [0] * depth
         for v in values:
-            for k in range(max_terms, 0, -1):
+            for k in range(depth, 0, -1):
                 exact[k] = (exact[k] | (exact[k - 1] << v)) & full
-        for k in range(1, max_terms + 1):
-            masks.append(masks[k - 1] | exact[k])
-            if stop_bit is not None and (masks[k] >> stop_bit) & 1:
-                break
-        return masks
-    for k in range(1, max_terms + 1):
-        previous = masks[k - 1]
-        masks.append((previous | _shifted_union(previous, values, workers)) & full)
-        if stop_bit is not None and (masks[k] >> stop_bit) & 1:
+        layers = (masks[-1] | exact[k] for k in range(1, depth + 1))
+    else:
+        layers = _default_layers(values, limit, max_terms, full)
+    for mask in layers:
+        # with repeats, a layer that adds nothing is a fixpoint; a strict
+        # layer can add nothing and the next one still add sums
+        if not strict_distinct and mask == masks[-1]:
+            break
+        masks.append(mask)
+        if stop_bit is not None and (mask >> stop_bit) & 1:
             break
     return masks
+
+
+def _default_layers(values: list[int], limit: int, max_terms: int, full: int):
+    """Yield masks[1..max_terms] with repeats allowed: layers 1 and 2 by
+    enumerating sums into a bit-packed buffer, later ones by _grow_layer."""
+    buf = bytearray(limit // 8 + 1)
+    buf[0] = 1
+    for v in values:
+        buf[v >> 3] |= 1 << (v & 7)
+    mask = int.from_bytes(buf, "little")
+    yield mask
+    if max_terms < 2:
+        return
+    for i, v in enumerate(values):
+        top = limit - v
+        if v > top:
+            break
+        for w in values[i : bisect_right(values, top)]:
+            s = v + w
+            buf[s >> 3] |= 1 << (s & 7)
+    mask = int.from_bytes(buf, "little")
+    yield mask
+    del buf  # the generator frame would keep it through the dense layers
+    for _ in range(3, max_terms + 1):
+        mask = _grow_layer(mask, values, limit, full)
+        yield mask
+
+
+#: A layer stops shifting and tests its holes one by one once fewer than
+#: one integer in HOLE_SPARSITY is still unreached.  A shift-or costs a
+#: pass over all limit bits and removes a few percent of the holes; a hole
+#: costs tens of byte probes.  4096 is near the measured optimum at 10^6
+#: and 10^7, where the per-hole phase then starts with ~n/10^4 holes left.
+HOLE_SPARSITY = 4096
+
+#: Shift-or chunks grow 1, 2, 4, ... up to this many values between hole
+#: counts, since masking and counting cost about as much as one shift-or.
+MAX_CHUNK = 16
+
+
+def _grow_layer(previous: int, values: list[int], limit: int, full: int) -> int:
+    """masks[k] from masks[k - 1] = previous, for k >= 3."""
+    mask = previous
+    holes = limit + 1 - mask.bit_count()
+    used = 0
+    chunk = 1
+    while holes * HOLE_SPARSITY >= limit and used < len(values):
+        for v in values[used : used + chunk]:
+            mask |= previous << v
+        mask &= full
+        used += chunk
+        chunk = min(2 * chunk, MAX_CHUNK)
+        holes = limit + 1 - mask.bit_count()
+    rest = values[used:]
+    if not rest or not holes:
+        return mask
+    previous_bytes = _mask_bytes(previous, limit)
+    reached = bytearray(limit // 8 + 1)
+    for h in _set_bits(_mask_bytes(mask ^ full, limit)):
+        # the probe is _has_bit inlined: this loop is the phase's whole cost
+        for v in rest:
+            d = h - v
+            if d < 0:
+                break
+            if previous_bytes[d >> 3] >> (d & 7) & 1:
+                reached[h >> 3] |= 1 << (h & 7)
+                break
+    return mask | int.from_bytes(reached, "little")
+
+
+#: Bit offsets set in each byte value, for walking sparse masks.
+_BYTE_BITS = tuple(
+    tuple(b for b in range(8) if byte >> b & 1) for byte in range(256)
+)
+
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+
+
+def _set_bits(mask_bytes: bytes) -> list[int]:
+    """Indices of the set bits of a little-endian bitset, ascending."""
+    found = []
+    for match in _NONZERO_BYTE.finditer(mask_bytes):
+        i = match.start()
+        base = i << 3
+        found.extend(base + b for b in _BYTE_BITS[mask_bytes[i]])
+    return found
 
 
 def _mask_bytes(mask: int, limit: int) -> bytes:
@@ -256,7 +333,7 @@ def min_term_decomposition(
     values = [entry.value for entry in pool if entry.value <= m]
     if not values:
         return None
-    masks = _layer_masks(values, m, max_terms, strict_distinct, 1, stop_bit=m)
+    masks = _layer_masks(values, m, max_terms, strict_distinct, stop_bit=m)
     depth = len(masks) - 1
     if not (masks[depth] >> m) & 1:
         return None
@@ -271,25 +348,14 @@ def min_term_decomposition(
     return Witness(target=m, terms=tuple(by_value[v] for v in term_values))
 
 
-def scan_conjecture(
-    n: int,
-    max_terms: int = 5,
-    keep_witnesses: bool = False,
-    strict_distinct: bool = False,
-    workers: int = 1,
-    ceiling: int = DEFAULT_SCAN_CEILING,
-) -> ScanReport:
-    """Decide for every integer in [1, n] whether it decomposes in budget.
-
-    Deterministic for fixed inputs regardless of worker count: layers are
-    combined by unions, which are order-independent.
-    """
+def _scan_layers(
+    n: int, max_terms: int, strict_distinct: bool, ceiling: int
+) -> tuple[list[PoolEntry], list[int]]:
+    """Check the scan arguments, then build the pool and the layer masks."""
     if n < 1:
         raise ValueError(f"scan bound must be >= 1, got {n}")
     if max_terms < 1:
         raise ValueError(f"term budget must be >= 1, got {max_terms}")
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
     if n > ceiling:
         raise ValueError(
             f"scan bound {n} exceeds the ceiling {ceiling}; "
@@ -297,39 +363,59 @@ def scan_conjecture(
         )
     pool = platonic_pool(n)
     values = [entry.value for entry in pool]
-    masks = _layer_masks(values, n, max_terms, strict_distinct, workers)
+    return pool, _layer_masks(values, n, max_terms, strict_distinct)
+
+
+def _report_from_masks(
+    n: int, max_terms: int, strict_distinct: bool, masks: list[int]
+) -> ScanReport:
+    built = len(masks) - 1
     histogram = {
-        k: (masks[k] ^ masks[k - 1]).bit_count() for k in range(1, max_terms + 1)
+        k: (masks[k] ^ masks[k - 1]).bit_count() if k <= built else 0
+        for k in range(1, max_terms + 1)
     }
-    final = _mask_bytes(masks[max_terms], n)
-    failures = tuple(m for m in range(1, n + 1) if not _has_bit(final, m))
-    witnesses: tuple[Witness, ...] | None = None
-    if keep_witnesses:
-        witnesses = tuple(
-            _iter_witnesses_from_masks(n, masks, pool, strict_distinct)
-        )
+    full = (1 << (n + 1)) - 1
+    failures = tuple(_set_bits(_mask_bytes(masks[built] ^ full, n)))
     return ScanReport(
         n=n,
         max_terms=max_terms,
         strict_distinct=strict_distinct,
         histogram=histogram,
         failures=failures,
-        witnesses=witnesses,
     )
 
 
-def iter_witnesses(
+def scan_conjecture(
     n: int,
     max_terms: int = 5,
+    keep_witnesses: bool = False,
     strict_distinct: bool = False,
-    workers: int = 1,
-):
+    ceiling: int = DEFAULT_SCAN_CEILING,
+) -> ScanReport:
+    """Decide for every integer in [1, n] whether it decomposes in budget."""
+    pool, masks = _scan_layers(n, max_terms, strict_distinct, ceiling)
+    report = _report_from_masks(n, max_terms, strict_distinct, masks)
+    if keep_witnesses:
+        witnesses = _iter_witnesses_from_masks(n, masks, pool, strict_distinct)
+        report = replace(report, witnesses=tuple(witnesses))
+    return report
+
+
+def scan_with_witnesses(
+    n: int, max_terms: int = 5, strict_distinct: bool = False
+) -> tuple[ScanReport, Iterator[Witness]]:
+    """One scan of [1, n]: its report, and a lazy stream of a minimal
+    witness for every representable m, recovered from the same masks."""
+    pool, masks = _scan_layers(n, max_terms, strict_distinct, DEFAULT_SCAN_CEILING)
+    report = _report_from_masks(n, max_terms, strict_distinct, masks)
+    return report, _iter_witnesses_from_masks(n, masks, pool, strict_distinct)
+
+
+def iter_witnesses(
+    n: int, max_terms: int = 5, strict_distinct: bool = False
+) -> Iterator[Witness]:
     """Yield a minimal witness for every representable m in [1, n]."""
-    if n < 1:
-        raise ValueError(f"scan bound must be >= 1, got {n}")
-    pool = platonic_pool(n)
-    values = [entry.value for entry in pool]
-    masks = _layer_masks(values, n, max_terms, strict_distinct, workers)
+    pool, masks = _scan_layers(n, max_terms, strict_distinct, DEFAULT_SCAN_CEILING)
     yield from _iter_witnesses_from_masks(n, masks, pool, strict_distinct)
 
 

@@ -14,6 +14,7 @@ from platonics import (
     verify_witness,
     witness_from_values,
 )
+from platonics import pollock
 from known_sums import REFERENCE_SUMS
 
 
@@ -181,11 +182,63 @@ def test_scan_witnesses_kept():
         assert verify_witness(witness, max_terms=5)
 
 
-def test_scan_determinism_and_worker_independence():
-    one = scan_conjecture(2000, workers=1)
-    again = scan_conjecture(2000, workers=1)
-    four = scan_conjecture(2000, workers=4)
-    assert one == again == four
+def test_scan_determinism():
+    assert scan_conjecture(2000) == scan_conjecture(2000)
+
+
+def shift_or_masks(values, limit, max_terms, strict_distinct, stop_bit=None):
+    """The plain layer definition: shift the previous mask by every value."""
+    full = (1 << (limit + 1)) - 1
+    masks = [1]
+    if strict_distinct:
+        exact = [1] + [0] * max_terms
+        for v in values:
+            for k in range(max_terms, 0, -1):
+                exact[k] = (exact[k] | (exact[k - 1] << v)) & full
+    for k in range(1, max_terms + 1):
+        if strict_distinct:
+            mask = masks[k - 1] | exact[k]
+        else:
+            mask = masks[k - 1]
+            for v in values:
+                mask |= masks[k - 1] << v
+        masks.append(mask & full)
+        if stop_bit is not None and (masks[k] >> stop_bit) & 1:
+            break
+    return masks
+
+
+@pytest.mark.parametrize(
+    "strict_distinct, sparsity",
+    [(False, 1), (False, 16), (False, pollock.HOLE_SPARSITY), (True, 1)],
+)
+def test_layer_masks_equal_plain_shift_or(strict_distinct, sparsity, monkeypatch):
+    # a low sparsity moves the switch to per-hole tests into small scans
+    monkeypatch.setattr(pollock, "HOLE_SPARSITY", sparsity)
+    cases = [(n, k) for n in (1, 2, 3, 8, 17, 100, 2000) for k in (1, 2, 3, 5)]
+    cases += [(5000, 8), (100, 40), (30_000, 5)]
+    for n, max_terms in cases:
+        values = [entry.value for entry in platonic_pool(n)]
+        for stop_bit in (None, n, n // 2 + 1):
+            want = shift_or_masks(values, n, max_terms, strict_distinct, stop_bit)
+            got = pollock._layer_masks(values, n, max_terms, strict_distinct, stop_bit)
+            # layering may stop early at a fixpoint; later masks repeat
+            assert got == want[: len(got)], (n, max_terms, stop_bit)
+            assert all(mask == got[-1] for mask in want[len(got) :])
+
+
+def test_layers_stop_at_the_fixpoint():
+    # every m <= 100 needs at most three terms, so layer 4 adds nothing
+    values = [entry.value for entry in platonic_pool(100)]
+    assert len(pollock._layer_masks(values, 100, 200_000, False)) == 4
+
+
+def test_strict_masks_go_past_a_layer_that_adds_nothing():
+    # no distinct 5-sum is new here, yet 68 = 1+3+4+16+20+24 is a new 6-sum
+    values = [1, 3, 4, 12, 16, 20, 24, 38]
+    masks = pollock._layer_masks(values, 75, 8, True)
+    assert masks == shift_or_masks(values, 75, 8, True)
+    assert masks[5] == masks[4] and (masks[6] ^ masks[5]) == 1 << 68
 
 
 def test_scan_validation_and_ceiling():
@@ -193,8 +246,6 @@ def test_scan_validation_and_ceiling():
         scan_conjecture(0)
     with pytest.raises(ValueError):
         scan_conjecture(100, max_terms=0)
-    with pytest.raises(ValueError):
-        scan_conjecture(100, workers=0)
     with pytest.raises(ValueError):
         scan_conjecture(10_000, ceiling=100)
 
