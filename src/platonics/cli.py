@@ -2,7 +2,13 @@
 
 All output is deterministic for fixed inputs: integers render as exact
 decimal text, JSON field order is fixed, and CSV column orders are frozen
-(documented in the README).  Exit codes: 0 success, 2 usage or domain
+(documented in the README).  Every command hands `_render` records, dicts
+that share one key order: `json` writes one object per record and line,
+`csv` writes the keys as a header and then one row per record, and `table`
+aligns the same rows.  A cell reads `true`/`false` for a bool, its items
+joined by `;` for a list, and `str` of anything else.  Where a format's
+text has another shape, such as a single json document, the command passes
+its own callable for that format.  Exit codes: 0 success, 2 usage or domain
 error, 3 divisibility violation, 4 internal consistency failure, 5 scan
 found an integer with no decomposition inside the term budget.
 """
@@ -12,13 +18,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
-from .identities import identity_residual
-from .periodicity import PeriodConsistencyError, check_period_claim
-from .pollock import scan_with_witnesses
-from .representations import NotDivisibleError, represent_multiple
+from .identities import IdentityCheck, identity_residual
+from .periodicity import PeriodConsistencyError, PeriodReport, check_period_claim
+from .pollock import ScanReport, Witness, scan_with_witnesses
+from .representations import NotDivisibleError, Representation, represent_multiple
 from .sequences import (
+    DifferenceTable,
     PlatonicKind,
     difference_table,
     platonic_value,
@@ -34,6 +43,11 @@ EXIT_COUNTEREXAMPLE = 5
 FORMATS = ("table", "json", "csv")
 KIND_NAMES = tuple(kind.value for kind in PlatonicKind)
 
+#: Largest `represent` target, in decimal digits.
+REPRESENT_MAX_DIGITS = 10_000
+# Every value of a representation of a D-digit target is below 10**(3*D).
+INT_TEXT_DIGITS = 3 * REPRESENT_MAX_DIGITS
+
 
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
@@ -48,6 +62,15 @@ def _parse_range(text: str) -> tuple[int, int]:
         ) from None
 
 
+def _parse_target(text: str) -> int:
+    if len(text.strip().lstrip("+-")) > REPRESENT_MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {REPRESENT_MAX_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _align(rows: list[list[str]]) -> str:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = [
@@ -57,11 +80,45 @@ def _align(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(_cell(item) for item in value)
+    return str(value)
+
+
+def _rows_text(fmt: str, records: Iterable[dict]) -> str:
+    """csv or table text of records, headed by the first record's keys."""
+    records = iter(records)
+    first = next(records)
+    rows = ([_cell(value) for value in r.values()] for r in chain([first], records))
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in chain([list(first)], rows))
+    return _align([list(first), *rows])
+
+
+def _render(
+    args: argparse.Namespace, records: Iterable[dict], **custom: Callable[[], str]
+) -> None:
+    """Write the records, or `custom[args.format]()` if given, to the output.
+
+    Pass records lazily (a generator or `map`), so that a format with its
+    own text never builds them.
+    """
+    if args.format in custom:
+        text = custom[args.format]()
+    elif args.format == "json":
+        text = "".join(json.dumps(record) + "\n" for record in records)
     else:
+        text = _rows_text(args.format, records)
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
 def _kinds_for(name: str) -> list[PlatonicKind]:
@@ -87,62 +144,54 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_INTERNAL
-    if args.format == "json":
-        payload = {
-            "kind": kind.value,
-            "start": lo,
-            "end": hi,
-            "values": [str(v) for v in values],
-        }
-        text = json.dumps(payload) + "\n"
-    elif args.format == "csv":
-        rows = ["n,value"]
-        rows += [f"{n},{v}" for n, v in zip(range(lo, hi + 1), values)]
-        text = "\n".join(rows) + "\n"
-    else:
-        text = ", ".join(str(v) for v in values) + "\n"
-    _emit(text, args.out)
+
+    def document() -> str:
+        values_text = [str(v) for v in values]
+        payload = {"kind": kind.value, "start": lo, "end": hi, "values": values_text}
+        return json.dumps(payload) + "\n"
+
+    _render(
+        args,
+        ({"n": n, "value": v} for n, v in enumerate(values, lo)),
+        json=document,
+        table=lambda: ", ".join(str(v) for v in values) + "\n",
+    )
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- difftable
 
 
-def _render_difference_rows(kind: PlatonicKind, rows: int) -> list[list[str]]:
-    table = difference_table(kind, rows)
-    body = [["n", "value", "d1", "d2", "d3", "d4"]]
-    for n in range(1, rows + 1):
-        row = [str(n), str(table.orders[0][n - 1])]
+def _difference_records(table: DifferenceTable) -> Iterator[dict]:
+    """One `n, value, d1..d4` record per index; cells past the end of a
+    shorter difference column are empty."""
+    for i, value in enumerate(table.orders[0]):
+        record = {"n": i + 1, "value": value}
         for order in range(1, 5):
             column = table.orders[order]
-            row.append(str(column[n - 1]) if n - 1 < len(column) else "")
-        body.append(row)
-    return body
+            record[f"d{order}"] = column[i] if i < len(column) else ""
+        yield record
+
+
+def _orders_text(table: DifferenceTable) -> list[list[str]]:
+    return [[str(v) for v in column] for column in table.orders]
 
 
 def _cmd_difftable(args: argparse.Namespace) -> int:
-    kind = PlatonicKind(args.kind)
-    table = difference_table(kind, args.rows)
-    if args.format == "json":
-        payload = {
-            "kind": kind.value,
-            "rows": table.rows,
-            "orders": [[str(v) for v in column] for column in table.orders],
-        }
-        text = json.dumps(payload) + "\n"
-    elif args.format == "csv":
-        rows = [",".join(row) for row in _render_difference_rows(kind, args.rows)]
-        text = "\n".join(rows) + "\n"
-    else:
-        text = _align(_render_difference_rows(kind, args.rows))
-    _emit(text, args.out)
+    table = difference_table(PlatonicKind(args.kind), args.rows)
+
+    def document() -> str:
+        payload = {"kind": args.kind, "rows": args.rows, "orders": _orders_text(table)}
+        return json.dumps(payload) + "\n"
+
+    _render(args, _difference_records(table), json=document)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- represent
 
 
-def _equation_text(rep) -> str:
+def _equation_text(rep: Representation) -> str:
     parts = []
     for j, (coeff, index) in enumerate(zip(rep.coefficients, rep.indices)):
         term = f"{abs(coeff)}*{rep.kind.value}({index})"
@@ -150,30 +199,16 @@ def _equation_text(rep) -> str:
             parts.append(term if coeff >= 0 else f"-{term}")
         else:
             parts.append(f"{'+' if coeff >= 0 else '-'} {term}")
-    return f"{rep.target} = " + " ".join(parts)
+    return f"{rep.target} = " + " ".join(parts) + "\n"
 
 
 def _cmd_represent(args: argparse.Namespace) -> int:
-    kind = PlatonicKind(args.kind)
-    rep = represent_multiple(kind, args.target)
-    if args.format == "json":
-        text = json.dumps(rep.to_json_dict()) + "\n"
-    elif args.format == "csv":
-        header = "kind,base_index,coefficients,indices,values,target"
-        row = ",".join(
-            [
-                rep.kind.value,
-                str(rep.base_index),
-                ";".join(str(c) for c in rep.coefficients),
-                ";".join(str(i) for i in rep.indices),
-                ";".join(str(v) for v in rep.values),
-                str(rep.target),
-            ]
-        )
-        text = header + "\n" + row + "\n"
-    else:
-        text = _equation_text(rep) + "\n"
-    _emit(text, args.out)
+    rep = represent_multiple(PlatonicKind(args.kind), args.target)
+    _render(
+        args,
+        map(Representation.to_json_dict, [rep]),
+        table=lambda: _equation_text(rep),
+    )
     return EXIT_OK
 
 
@@ -189,34 +224,22 @@ def _cmd_period(args: argparse.Namespace) -> int:
         for kind in _kinds_for(args.kind)
         for d in range(lo, hi + 1)
     ]
-    if args.format == "json":
-        text = "".join(json.dumps(r.to_json_dict()) + "\n" for r in reports)
-    elif args.format == "csv":
-        rows = ["kind,d,closed_form,empirical,agrees"]
-        rows += [
-            f"{r.kind.value},{r.modulus},{r.closed_form},{r.empirical},"
-            f"{'true' if r.agrees else 'false'}"
-            for r in reports
-        ]
-        text = "\n".join(rows) + "\n"
-    else:
-        body = [["kind", "d", "closed_form", "empirical", "agrees"]]
-        body += [
-            [
-                r.kind.value,
-                str(r.modulus),
-                str(r.closed_form),
-                str(r.empirical),
-                "true" if r.agrees else "false",
-            ]
-            for r in reports
-        ]
-        text = _align(body)
-    _emit(text, args.out)
+    _render(args, map(PeriodReport.to_json_dict, reports))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- verify-identities
+
+
+def _identity_record(check: IdentityCheck) -> dict:
+    return {
+        "kind": check.kind.value,
+        "order": check.order,
+        "n": check.index,
+        "expected": str(check.expected),
+        "actual": str(check.actual),
+        "holds": check.holds,
+    }
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
@@ -229,44 +252,7 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
         for order in range(1, 5)
         for n in range(lo, hi + 1)
     ]
-    if args.format == "json":
-        text = "".join(
-            json.dumps(
-                {
-                    "kind": c.kind.value,
-                    "order": c.order,
-                    "n": c.index,
-                    "expected": str(c.expected),
-                    "actual": str(c.actual),
-                    "holds": c.holds,
-                }
-            )
-            + "\n"
-            for c in checks
-        )
-    elif args.format == "csv":
-        rows = ["kind,order,n,expected,actual,holds"]
-        rows += [
-            f"{c.kind.value},{c.order},{c.index},{c.expected},{c.actual},"
-            f"{'true' if c.holds else 'false'}"
-            for c in checks
-        ]
-        text = "\n".join(rows) + "\n"
-    else:
-        body = [["kind", "order", "n", "expected", "actual", "holds"]]
-        body += [
-            [
-                c.kind.value,
-                str(c.order),
-                str(c.index),
-                str(c.expected),
-                str(c.actual),
-                "true" if c.holds else "false",
-            ]
-            for c in checks
-        ]
-        text = _align(body)
-    _emit(text, args.out)
+    _render(args, map(_identity_record, checks))
     if any(not c.holds for c in checks):
         print("error: a difference identity failed to hold", file=sys.stderr)
         return EXIT_INTERNAL
@@ -276,93 +262,89 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- pollock
 
 
+def _report_fields(report: ScanReport) -> Iterator[dict]:
+    fields = [("n", report.n), ("max_terms", report.max_terms)]
+    fields.append(("strict_distinct", report.strict_distinct))
+    fields += [(f"terms_{k}", report.histogram[k]) for k in sorted(report.histogram)]
+    fields.append(("failure_count", len(report.failures)))
+    fields += [("failure", m) for m in report.failures]
+    return ({"field": field, "value": value} for field, value in fields)
+
+
+def _pollock_text(report: ScanReport, witnesses: Iterator[Witness]) -> str:
+    lines = [
+        f"{w.target} = " + " + ".join(str(v) for v in w.term_values)
+        for w in witnesses
+    ]
+    lines += [
+        f"n: {report.n}",
+        f"max terms: {report.max_terms}",
+        f"strict distinct: {_cell(report.strict_distinct)}",
+        "histogram:",
+    ]
+    lines += [f"  {k} terms: {report.histogram[k]}" for k in sorted(report.histogram)]
+    if report.failures:
+        failing = " ".join(str(m) for m in report.failures)
+        lines.append(f"failures ({len(report.failures)}): {failing}")
+    else:
+        lines.append("failures: none")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_pollock(args: argparse.Namespace) -> int:
     if args.witnesses and args.format == "csv":
         raise ValueError("witness streaming needs table or json format")
-    chunks: list[str] = []
     report, witnesses = scan_with_witnesses(
         args.n, max_terms=args.max_terms, strict_distinct=args.strict_distinct
     )
-    if args.witnesses:
-        for witness in witnesses:
-            if args.format == "json":
-                chunks.append(json.dumps(witness.to_json_dict()) + "\n")
-            else:
-                terms = " + ".join(str(v) for v in witness.term_values)
-                chunks.append(f"{witness.target} = {terms}\n")
-    if args.format == "json":
-        chunks.append(json.dumps(report.to_json_dict()) + "\n")
-    elif args.format == "csv":
-        rows = ["field,value"]
-        rows.append(f"n,{report.n}")
-        rows.append(f"max_terms,{report.max_terms}")
-        rows.append(
-            f"strict_distinct,{'true' if report.strict_distinct else 'false'}"
-        )
-        rows += [f"terms_{k},{report.histogram[k]}" for k in sorted(report.histogram)]
-        rows.append(f"failure_count,{len(report.failures)}")
-        rows += [f"failure,{m}" for m in report.failures]
-        chunks.append("\n".join(rows) + "\n")
-    else:
-        lines = [
-            f"n: {report.n}",
-            f"max terms: {report.max_terms}",
-            f"strict distinct: {'true' if report.strict_distinct else 'false'}",
-            "histogram:",
-        ]
-        lines += [
-            f"  {k} terms: {report.histogram[k]}" for k in sorted(report.histogram)
-        ]
-        if report.failures:
-            failing = " ".join(str(m) for m in report.failures)
-            lines.append(f"failures ({len(report.failures)}): {failing}")
-        else:
-            lines.append("failures: none")
-        chunks.append("\n".join(lines) + "\n")
-    _emit("".join(chunks), args.out)
+    # Every format reads the witness stream lazily; a list of it costs memory.
+    witnesses = witnesses if args.witnesses else iter(())
+    _render(
+        args,
+        chain(
+            map(Witness.to_json_dict, witnesses),
+            map(ScanReport.to_json_dict, [report]),
+        ),
+        csv=lambda: _rows_text("csv", _report_fields(report)),
+        table=lambda: _pollock_text(report, witnesses),
+    )
     return EXIT_COUNTEREXAMPLE if report.failures else EXIT_OK
 
 
 # ---------------------------------------------------------------- paper-tables
 
 
-def _reference_tables_text() -> str:
+def _paper_tables_text(tables: list[DifferenceTable]) -> str:
     lines = ["platonic numbers: first 10 values of each family", ""]
-    for kind in PlatonicKind:
-        first = [str(platonic_value(kind, n)) for n in range(1, 11)]
-        lines.append(f"{kind.value}: " + ", ".join(first))
-    for kind in PlatonicKind:
+    for table in tables:
+        lines.append(f"{table.kind.value}: " + ", ".join(_orders_text(table)[0]))
+    for table in tables:
         lines.append("")
-        lines.append(f"forward differences: {kind.value}")
-        lines.append(_align(_render_difference_rows(kind, 10)).rstrip("\n"))
+        lines.append(f"forward differences: {table.kind.value}")
+        lines.append(_rows_text("table", _difference_records(table)).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
 def _cmd_paper_tables(args: argparse.Namespace) -> int:
-    if args.format == "json":
+    tables = [difference_table(kind, 10) for kind in PlatonicKind]
+
+    def document() -> str:
         payload = {
-            "sequences": {
-                kind.value: [str(platonic_value(kind, n)) for n in range(1, 11)]
-                for kind in PlatonicKind
-            },
-            "difference_tables": {
-                kind.value: [
-                    [str(v) for v in column]
-                    for column in difference_table(kind, 10).orders
-                ]
-                for kind in PlatonicKind
-            },
+            "sequences": {t.kind.value: _orders_text(t)[0] for t in tables},
+            "difference_tables": {t.kind.value: _orders_text(t) for t in tables},
         }
-        text = json.dumps(payload) + "\n"
-    elif args.format == "csv":
-        rows = ["kind,n,value,d1,d2,d3,d4"]
-        for kind in PlatonicKind:
-            for row in _render_difference_rows(kind, 10)[1:]:
-                rows.append(",".join([kind.value, *row]))
-        text = "\n".join(rows) + "\n"
-    else:
-        text = _reference_tables_text()
-    _emit(text, args.out)
+        return json.dumps(payload) + "\n"
+
+    _render(
+        args,
+        (
+            {"kind": table.kind.value, **record}
+            for table in tables
+            for record in _difference_records(table)
+        ),
+        json=document,
+        table=lambda: _paper_tables_text(tables),
+    )
     return EXIT_OK
 
 
@@ -405,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write a target as a 4-term combination of consecutive values",
     )
     represent.add_argument("kind", choices=KIND_NAMES)
-    represent.add_argument("target", type=int)
+    represent.add_argument("target", type=_parse_target)
     represent.set_defaults(handler=_cmd_represent)
 
     period = subparsers.add_parser(
@@ -456,9 +438,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # Interpreters since 3.10.7 refuse int/str conversions past a digit
+    # limit (4300 by default); lift it as far as `represent` needs, for this
+    # call only.  Zero means no limit, as on interpreters without one.
+    saved_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved_limit:
+        sys.set_int_max_str_digits(max(saved_limit, INT_TEXT_DIGITS))
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except NotDivisibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -469,6 +456,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if saved_limit:
+            sys.set_int_max_str_digits(saved_limit)
 
 
 def main_entry() -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .sequences import PlatonicKind, platonic_value
 
@@ -66,10 +66,9 @@ class ScanReport:
     strict_distinct: bool
     histogram: dict[int, int]
     failures: tuple[int, ...]
-    witnesses: tuple[Witness, ...] | None = None
 
     def to_json_dict(self) -> dict:
-        payload = {
+        return {
             "n": self.n,
             "max_terms": self.max_terms,
             "strict_distinct": self.strict_distinct,
@@ -77,9 +76,6 @@ class ScanReport:
             "failure_count": len(self.failures),
             "failures": [str(m) for m in self.failures],
         }
-        if self.witnesses is not None:
-            payload["witnesses"] = [w.to_json_dict() for w in self.witnesses]
-        return payload
 
 
 def platonic_pool(limit: int) -> list[PoolEntry]:
@@ -388,17 +384,12 @@ def _report_from_masks(
 def scan_conjecture(
     n: int,
     max_terms: int = 5,
-    keep_witnesses: bool = False,
     strict_distinct: bool = False,
     ceiling: int = DEFAULT_SCAN_CEILING,
 ) -> ScanReport:
     """Decide for every integer in [1, n] whether it decomposes in budget."""
-    pool, masks = _scan_layers(n, max_terms, strict_distinct, ceiling)
-    report = _report_from_masks(n, max_terms, strict_distinct, masks)
-    if keep_witnesses:
-        witnesses = _iter_witnesses_from_masks(n, masks, pool, strict_distinct)
-        report = replace(report, witnesses=tuple(witnesses))
-    return report
+    _, masks = _scan_layers(n, max_terms, strict_distinct, ceiling)
+    return _report_from_masks(n, max_terms, strict_distinct, masks)
 
 
 def scan_with_witnesses(

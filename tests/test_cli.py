@@ -4,11 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from platonics import cli
+from platonics import (
+    PlatonicKind,
+    Representation,
+    cli,
+    evaluate_representation,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -28,6 +34,11 @@ def run_subprocess(args):
         text=True,
         env=env,
     )
+
+
+def int_text_limit():
+    """The interpreter's int/str conversion digit limit; 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def test_gen_table(capsys):
@@ -131,6 +142,48 @@ def test_represent_not_divisible_exit_3(capsys):
     code, _, err = run_cli(["represent", "dodecahedral", "54"], capsys)
     assert code == 3
     assert "81" in err
+
+
+@pytest.mark.parametrize(
+    "kind, target",
+    [
+        ("dodecahedral", "81" * 2200),  # 4400 digits, 81 * 1010...101
+        ("tetrahedral", "-" + "9" * cli.REPRESENT_MAX_DIGITS),  # largest values
+    ],
+    ids=["dodecahedral-4400-digits", "tetrahedral-ceiling"],
+)
+def test_represent_json_past_the_default_digit_limit(kind, target, capsys):
+    limit = int_text_limit()
+    code, out, err = run_cli(["represent", kind, target, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert int_text_limit() == limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+        rep = Representation(
+            kind=PlatonicKind(payload["kind"]),
+            base_index=payload["base_index"],
+            coefficients=tuple(payload["coefficients"]),
+            target=int(payload["target"]),
+        )
+        assert payload["target"] == target
+        assert payload["values"] == [str(v) for v in rep.values]
+        assert evaluate_representation(rep) == rep.target
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_represent_target_over_the_ceiling_exits_2(capsys):
+    limit = int_text_limit()
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["represent", "tetrahedral", "9" * (cli.REPRESENT_MAX_DIGITS + 1)])
+    assert time.perf_counter() - started < 1.0
+    assert exc.value.code == 2
+    assert f"more than {cli.REPRESENT_MAX_DIGITS} digits" in capsys.readouterr().err
+    assert int_text_limit() == limit
 
 
 def test_represent_table_equation(capsys):
@@ -244,6 +297,22 @@ def test_out_file_writes_payload(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == "n,value\n1,1\n2,8\n3,27\n4,64\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "cube", "1..4", "--format", "csv", "--out", "{tmp}/missing/x.csv"],
+        ["pollock", "50", "--witnesses", "--out", "{tmp}"],
+    ],
+)
+def test_unwritable_out_exits_2(args, tmp_path, capsys):
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {args[-1]}: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_paper_tables_matches_golden(capsys):

@@ -11,6 +11,7 @@ from platonics import (
     min_term_decomposition,
     platonic_pool,
     scan_conjecture,
+    scan_with_witnesses,
     verify_witness,
     witness_from_values,
 )
@@ -175,10 +176,11 @@ def test_scan_budget_one_failures():
 
 
 def test_scan_witnesses_kept():
-    report = scan_conjecture(50, keep_witnesses=True)
-    assert report.witnesses is not None
-    assert len(report.witnesses) == 50 - len(report.failures)
-    for witness in report.witnesses:
+    report, stream = scan_with_witnesses(50)
+    witnesses = list(stream)
+    assert witnesses
+    assert len(witnesses) == 50 - len(report.failures)
+    for witness in witnesses:
         assert verify_witness(witness, max_terms=5)
 
 
