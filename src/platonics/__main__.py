@@ -1,8 +1,6 @@
 """Entry point for `python -m platonics`."""
 
-import sys
-
-from .cli import main
+from .cli import main_entry
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main_entry()

@@ -8,19 +8,21 @@ that share one key order: `json` writes one object per record and line,
 aligns the same rows.  A cell reads `true`/`false` for a bool, its items
 joined by `;` for a list, and `str` of anything else.  Where a format's
 text has another shape, such as a single json document, the command passes
-its own callable for that format.  Exit codes: 0 success, 2 usage or domain
-error, 3 divisibility violation, 4 internal consistency failure, 5 scan
-found an integer with no decomposition inside the term budget.
+its own callable for that format; `pollock` returns its witness text line by
+line, and each line is written as soon as its witness is recovered.  Exit
+codes: 0 success, 2 usage or domain error, 3 divisibility violation, 4
+internal consistency failure, 5 scan found an integer with no decomposition
+inside the term budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
-from pathlib import Path
 
 from .identities import IdentityCheck, identity_residual
 from .periodicity import PeriodConsistencyError, PeriodReport, check_period_claim
@@ -99,12 +101,15 @@ def _rows_text(fmt: str, records: Iterable[dict]) -> str:
 
 
 def _render(
-    args: argparse.Namespace, records: Iterable[dict], **custom: Callable[[], str]
+    args: argparse.Namespace,
+    records: Iterable[dict],
+    **custom: Callable[[], str | Iterable[str]],
 ) -> None:
     """Write the records, or `custom[args.format]()` if given, to the output.
 
     Pass records lazily (a generator or `map`), so that a format with its
-    own text never builds them.
+    own text never builds them.  A custom callable returns its text whole,
+    or as an iterable of pieces that are written as they are produced.
     """
     if args.format in custom:
         text = custom[args.format]()
@@ -112,11 +117,14 @@ def _render(
         text = "".join(json.dumps(record) + "\n" for record in records)
     else:
         text = _rows_text(args.format, records)
+    # writelines over a bare str would write it one character at a time
+    pieces = [text] if isinstance(text, str) else text
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as stream:
+            stream.writelines(pieces)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
 
@@ -271,12 +279,23 @@ def _report_fields(report: ScanReport) -> Iterator[dict]:
     return ({"field": field, "value": value} for field, value in fields)
 
 
-def _pollock_text(report: ScanReport, witnesses: Iterator[Witness]) -> str:
+def _witness_line(w: Witness) -> str:
+    """`json.dumps(w.to_json_dict()) + "\\n"`, formatted directly: every
+    value is a digit string, so nothing needs escaping."""
+    terms = '", "'.join([str(entry.value) for entry in w.terms])
+    return (
+        f'{{"target": "{w.target}", "min_terms": {len(w.terms)}, '
+        f'"terms": ["{terms}"]}}\n'
+    )
+
+
+def _witness_equation(w: Witness) -> str:
+    terms = " + ".join([str(entry.value) for entry in w.terms])
+    return f"{w.target} = {terms}\n"
+
+
+def _report_text(report: ScanReport) -> str:
     lines = [
-        f"{w.target} = " + " + ".join(str(v) for v in w.term_values)
-        for w in witnesses
-    ]
-    lines += [
         f"n: {report.n}",
         f"max terms: {report.max_terms}",
         f"strict distinct: {_cell(report.strict_distinct)}",
@@ -297,16 +316,15 @@ def _cmd_pollock(args: argparse.Namespace) -> int:
     report, witnesses = scan_with_witnesses(
         args.n, max_terms=args.max_terms, strict_distinct=args.strict_distinct
     )
-    # Every format reads the witness stream lazily; a list of it costs memory.
+    # Witness lines are written as they are recovered, the report last.
     witnesses = witnesses if args.witnesses else iter(())
     _render(
         args,
-        chain(
-            map(Witness.to_json_dict, witnesses),
-            map(ScanReport.to_json_dict, [report]),
+        _report_fields(report),
+        json=lambda: chain(
+            map(_witness_line, witnesses), [json.dumps(report.to_json_dict()) + "\n"]
         ),
-        csv=lambda: _rows_text("csv", _report_fields(report)),
-        table=lambda: _pollock_text(report, witnesses),
+        table=lambda: chain(map(_witness_equation, witnesses), [_report_text(report)]),
     )
     return EXIT_COUNTEREXAMPLE if report.failures else EXIT_OK
 
@@ -462,4 +480,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`), so the rest of the output
+        # has nowhere to go.  Point stdout at devnull, so that the flush at
+        # interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)

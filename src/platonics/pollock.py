@@ -15,6 +15,11 @@ holes (integers not yet reached) are dense, then tests each remaining hole
 against the values not yet shifted in.  Layering stops at the fixpoint,
 and failures are read from the set bits of the final complement.  Every
 layer is bit-identical to the plain shift-or over the whole pool.
+
+A witness is recovered by walking back through the layers, taking the
+largest pool value that leaves a remainder in the layer below.  Witness
+streams look a remainder at layer 2 up in a table of pair sums instead, so
+only the steps from layer 3 up probe pool values.
 """
 
 from __future__ import annotations
@@ -283,10 +288,10 @@ def _recover_terms(
     return terms
 
 
-def _recover_terms_strict(
-    target: int, depth: int, values_desc: list[int]
-) -> list[int] | None:
-    """First decomposition into `depth` distinct values, descending order."""
+def _strict_search(values_desc: list[int]):
+    """search(target, depth, start): the first decomposition of target into
+    `depth` distinct values of values_desc[start:], in descending order, or
+    None.  The prefix sums are built once and shared by every call."""
     total = len(values_desc)
     prefix = [0]
     for v in values_desc:
@@ -307,7 +312,14 @@ def _recover_terms_strict(
                 return [v, *rest]
         return None
 
-    return search(target, depth, 0)
+    return search
+
+
+def _recover_terms_strict(
+    target: int, depth: int, values_desc: list[int]
+) -> list[int] | None:
+    """First decomposition into `depth` distinct values, descending order."""
+    return _strict_search(values_desc)(target, depth, 0)
 
 
 def min_term_decomposition(
@@ -410,27 +422,101 @@ def iter_witnesses(
     yield from _iter_witnesses_from_masks(n, masks, pool, strict_distinct)
 
 
+def _pair_largest(values: list[int], limit: int) -> dict[int, int]:
+    """For every pair sum v + w <= limit, the largest term of such a pair.
+
+    Pairs are enumerated as layer 2 enumerates them, v ascending and w >= v,
+    and the first pair of each sum is kept.  It has the smallest v, so its w
+    is the value that the largest-first walk of _recover_terms picks for a
+    remainder at layer 2.
+    """
+    largest: dict[int, int] = {}
+    for i, v in enumerate(values):
+        top = limit - v
+        if v > top:
+            break
+        for w in values[i : bisect_right(values, top)]:
+            largest.setdefault(v + w, w)
+    return largest
+
+
 def _iter_witnesses_from_masks(
     n: int,
     masks: list[int],
     pool: list[PoolEntry],
     strict_distinct: bool,
-):
-    max_terms = len(masks) - 1
+) -> Iterator[Witness]:
+    recover = _strict_witnesses if strict_distinct else _default_witnesses
+    return recover(n, masks, pool)
+
+
+def _default_witnesses(
+    n: int, masks: list[int], pool: list[PoolEntry]
+) -> Iterator[Witness]:
+    """A witness for every representable m in [1, n], repeats allowed.
+
+    Its terms are those of _recover_terms: a remainder at layer 2 is one
+    lookup in the pair table, and only the steps from layer 3 up probe pool
+    values, largest first.
+    """
     layer_bytes = [_mask_bytes(mask, n) for mask in masks]
+    built = len(masks) - 1
+    ones = layer_bytes[1]
     values_asc = [entry.value for entry in pool]
     by_value = {entry.value: entry for entry in pool}
+    pairs = _pair_largest(values_asc, n) if built >= 2 else {}
     for m in range(1, n + 1):
-        if not _has_bit(layer_bytes[max_terms], m):
+        byte, bit = m >> 3, m & 7
+        if ones[byte] >> bit & 1:
+            yield Witness(m, (by_value[m],))
             continue
-        depth = next(
-            k for k in range(1, max_terms + 1) if _has_bit(layer_bytes[k], m)
-        )
-        if strict_distinct:
-            usable_desc = values_asc[: bisect_right(values_asc, m)][::-1]
-            term_values = _recover_terms_strict(m, depth, usable_desc)
-            if term_values is None:
-                raise RuntimeError(f"strict recovery failed for {m}; masks corrupt")
-        else:
-            term_values = _recover_terms(m, depth, layer_bytes, values_asc)
-        yield Witness(target=m, terms=tuple(by_value[v] for v in term_values))
+        depth = 2
+        while depth <= built and not layer_bytes[depth][byte] >> bit & 1:
+            depth += 1
+        if depth > built:
+            continue
+        terms = []
+        remaining = m
+        for k in range(depth, 2, -1):
+            previous = layer_bytes[k - 1]
+            for i in range(bisect_right(values_asc, remaining) - 1, -1, -1):
+                d = remaining - values_asc[i]
+                if previous[d >> 3] >> (d & 7) & 1:
+                    terms.append(pool[i])
+                    remaining = d
+                    break
+            else:
+                raise RuntimeError(
+                    f"no predecessor for {remaining} at layer {k}; masks corrupt"
+                )
+        w = pairs.get(remaining)
+        if w is None:
+            raise RuntimeError(
+                f"no predecessor for {remaining} at layer 2; masks corrupt"
+            )
+        terms += (by_value[w], by_value[remaining - w])
+        yield Witness(m, tuple(terms))
+
+
+def _strict_witnesses(
+    n: int, masks: list[int], pool: list[PoolEntry]
+) -> Iterator[Witness]:
+    """A witness for every representable m in [1, n], distinct values."""
+    layer_bytes = [_mask_bytes(mask, n) for mask in masks]
+    built = len(masks) - 1
+    values_asc = [entry.value for entry in pool]
+    by_value = {entry.value: entry for entry in pool}
+    total = len(values_asc)
+    search = _strict_search(values_asc[::-1])
+    for m in range(1, n + 1):
+        byte, bit = m >> 3, m & 7
+        depth = 1
+        while depth <= built and not layer_bytes[depth][byte] >> bit & 1:
+            depth += 1
+        if depth > built:
+            continue
+        # the values <= m start at this index of the descending list
+        term_values = search(m, depth, total - bisect_right(values_asc, m))
+        if term_values is None:
+            raise RuntimeError(f"strict recovery failed for {m}; masks corrupt")
+        yield Witness(m, tuple([by_value[v] for v in term_values]))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -313,6 +314,44 @@ def test_unwritable_out_exits_2(args, tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: cannot write {args[-1]}: ")
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "fmt, first_line",
+    [("json", b'{"target": "1", "min_terms": 1, "terms": ["1"]}\n'), ("table", b"1 = 1\n")],
+)
+def test_closed_pipe_exits_quietly(fmt, first_line):
+    # about 1 MB of witness lines, far more than a pipe buffer holds
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    argv = ["pollock", "20000", "--witnesses", "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "platonics", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+
+
+def test_witness_stream_memory_is_bounded(tmp_path, capsys):
+    target = tmp_path / "witnesses.json"
+    argv = ["pollock", "100000", "--witnesses", "--format", "json"]
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr() == ("", "")
+    # the lines are written as they are recovered, never held together
+    assert peak < target.stat().st_size / 2
 
 
 def test_paper_tables_matches_golden(capsys):

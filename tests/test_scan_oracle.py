@@ -5,6 +5,7 @@ values computed here from their closed forms, so a fault in the pool or in
 any layer method of the engine shows up as a disagreement.
 """
 
+import json
 import time
 
 import pytest
@@ -48,6 +49,20 @@ def min_terms_dp(limit):
 DEPTH = min_terms_dp(ORACLE_LIMIT)
 
 
+def largest_first_paths(limit):
+    """path[t]: from r = t down, each step takes the largest value v with
+    DEPTH[r - v] == DEPTH[r] - 1, the walk a witness stream must follow."""
+    values = platonic_values_upto(limit)
+    paths = [()]
+    for t in range(1, limit + 1):
+        v = max(v for v in values if v <= t and DEPTH[t - v] == DEPTH[t] - 1)
+        paths.append((v, *paths[t - v]))
+    return paths
+
+
+PATHS = largest_first_paths(ORACLE_LIMIT)
+
+
 def expected_report(n, max_terms):
     histogram = {k: 0 for k in range(1, max_terms + 1)}
     failures = []
@@ -87,6 +102,22 @@ def test_every_witness_verifies_and_is_minimal(n, max_terms):
     for witness in iter_witnesses(n, max_terms=max_terms):
         assert verify_witness(witness, max_terms=max_terms)
         assert len(witness.terms) == DEPTH[witness.target]
+        targets.append(witness.target)
+    assert targets == [t for t in range(1, n + 1) if DEPTH[t] <= max_terms]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=ORACLE_LIMIT),
+    max_terms=st.integers(min_value=1, max_value=6),
+)
+@example(n=ORACLE_LIMIT, max_terms=5)
+@example(n=2, max_terms=2)
+def test_witnesses_follow_the_largest_first_path(n, max_terms):
+    targets = []
+    for witness in iter_witnesses(n, max_terms=max_terms):
+        assert witness.term_values == PATHS[witness.target]
+        assert cli._witness_line(witness) == json.dumps(witness.to_json_dict()) + "\n"
         targets.append(witness.target)
     assert targets == [t for t in range(1, n + 1) if DEPTH[t] <= max_terms]
 
