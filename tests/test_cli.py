@@ -318,7 +318,11 @@ def test_unwritable_out_exits_2(args, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "fmt, first_line",
-    [("json", b'{"target": "1", "min_terms": 1, "terms": ["1"]}\n'), ("table", b"1 = 1\n")],
+    [
+        ("json", b'{"target": "1", "min_terms": 1, "terms": ["1"]}\n'),
+        ("table", b"1 = 1\n"),
+    ],
+    ids=["json", "table"],
 )
 def test_closed_pipe_exits_quietly(fmt, first_line):
     # about 1 MB of witness lines, far more than a pipe buffer holds
