@@ -15,10 +15,13 @@ from .identities import (
     identity_residual,
 )
 from .periodicity import (
+    PERIOD_MAX_MODULI,
+    PERIOD_MAX_MODULUS,
     PeriodConsistencyError,
     PeriodReport,
     ResidueSequence,
     check_period_claim,
+    check_period_range,
     closed_form_period,
     empirical_period,
     residue_sequence,
@@ -66,6 +69,8 @@ __all__ = [
     "DifferenceTable",
     "IdentityCheck",
     "NotDivisibleError",
+    "PERIOD_MAX_MODULI",
+    "PERIOD_MAX_MODULUS",
     "PeriodConsistencyError",
     "PeriodReport",
     "PlatonicKind",
@@ -78,6 +83,7 @@ __all__ = [
     "THIRD_DIFFERENCE_CONSTANTS",
     "Witness",
     "check_period_claim",
+    "check_period_range",
     "closed_form_period",
     "combined_residual_tetrahedral",
     "difference_from_values",

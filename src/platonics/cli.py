@@ -18,6 +18,7 @@ inside the term budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 
 from .identities import IdentityCheck, identity_residual
-from .periodicity import PeriodConsistencyError, PeriodReport, check_period_claim
+from .periodicity import PeriodConsistencyError, PeriodReport, check_period_range
 from .pollock import ScanReport, Witness, scan_with_witnesses
 from .representations import NotDivisibleError, Representation, represent_multiple
 from .sequences import (
@@ -224,14 +225,7 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 
 
 def _cmd_period(args: argparse.Namespace) -> int:
-    lo, hi = args.range
-    if not 2 <= lo <= hi:
-        raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
-    reports = [
-        check_period_claim(kind, d)
-        for kind in _kinds_for(args.kind)
-        for d in range(lo, hi + 1)
-    ]
+    reports = check_period_range(_kinds_for(args.kind), *args.range)
     _render(args, map(PeriodReport.to_json_dict, reports))
     return EXIT_OK
 
@@ -369,7 +363,13 @@ def _cmd_paper_tables(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later `main` call.
+
+    `parse_args` returns a fresh namespace each time and the parser keeps no
+    parsed state, so sharing it changes no output.
+    """
     parser = argparse.ArgumentParser(
         prog="platonics",
         description="Exact arithmetic over the five platonic-number families.",

@@ -3,17 +3,32 @@
 Each family has a proven period modulo d given by a small case split on d.
 The closed form is a period, but not necessarily the minimal one, so the
 empirical detector searches the divisors of the closed form in ascending
-order and reports the smallest shift that actually repeats.  A report where
-the two disagree is a legitimate finding, not an error; an error is raised
-only if the closed form fails to be a period at all, which would contradict
-the congruence argument behind it.
+order and reports the smallest shift that actually repeats.
+
+A shift s is decided from four residues.  Every family satisfies the order-4
+recurrence y[n] = 4y[n-1] - 6y[n-2] + 4y[n-3] - y[n-4], and so does
+e(n) = f(n+s) - f(n).  If e(n) = 0 mod d for n = 1..4, the recurrence
+carries it to every later n, and since its last coefficient -1 is a unit
+mod d it runs backwards too; so s repeats mod d exactly when those four
+differences vanish.  The values come from the exact closed forms, not from
+the case split, so the check stays independent of the claim it tests.
+
+A report where the two periods disagree is a legitimate finding, not an
+error; an error is raised only if the closed form fails to be a period at
+all, which would contradict the congruence argument behind it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .sequences import PlatonicKind, platonic_value
+
+#: Largest modulus the empirical detector accepts.
+PERIOD_MAX_MODULUS = 10**6
+#: Most moduli one `check_period_range` call covers.
+PERIOD_MAX_MODULI = 10**4
 
 
 class PeriodConsistencyError(RuntimeError):
@@ -52,6 +67,12 @@ class PeriodReport:
 def _require_modulus(d: int) -> None:
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
+
+
+def _require_period_modulus(d: int) -> None:
+    _require_modulus(d)
+    if d > PERIOD_MAX_MODULUS:
+        raise ValueError(f"modulus {d} is above the ceiling {PERIOD_MAX_MODULUS}")
 
 
 def closed_form_period(kind: PlatonicKind, d: int) -> int:
@@ -96,15 +117,18 @@ def empirical_period(kind: PlatonicKind, d: int) -> int:
 
     The minimal period of a purely periodic sequence divides every period,
     and the closed form is proven to be a period, so it suffices to test
-    the divisors of the closed form in ascending order over a two-period
-    window.
+    the divisors of the closed form in ascending order.  Each shift s is
+    certified by f(n+s) = f(n) mod d at n = 1..4, which by the shared
+    recurrence holds for every n (see the module docstring).
     """
-    _require_modulus(d)
+    _require_period_modulus(d)
     length = closed_form_period(kind, d)
-    window = [platonic_value(kind, n) % d for n in range(1, 2 * length + 1)]
-    base = window[:length]
+    base = [platonic_value(kind, n) for n in range(1, 5)]
     for shift in _divisors(length):
-        if window[shift : shift + length] == base:
+        if all(
+            (platonic_value(kind, n + shift) - value) % d == 0
+            for n, value in enumerate(base, 1)
+        ):
             return shift
     raise PeriodConsistencyError(
         f"no divisor of {length} is a period of {kind.value} mod {d}; "
@@ -123,3 +147,17 @@ def check_period_claim(kind: PlatonicKind, d: int) -> PeriodReport:
         empirical=observed,
         agrees=observed == closed,
     )
+
+
+def check_period_range(
+    kinds: Iterable[PlatonicKind], lo: int, hi: int
+) -> list[PeriodReport]:
+    """`check_period_claim` for every kind and every d in [lo, hi], kind-major."""
+    if not 2 <= lo <= hi:
+        raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
+    if hi - lo >= PERIOD_MAX_MODULI:
+        raise ValueError(
+            f"{hi - lo + 1} moduli is above the ceiling of {PERIOD_MAX_MODULI}"
+        )
+    _require_period_modulus(hi)
+    return [check_period_claim(kind, d) for kind in kinds for d in range(lo, hi + 1)]

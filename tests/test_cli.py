@@ -395,3 +395,19 @@ def test_repeated_runs_are_byte_identical(args, capsys):
     first = run_cli(args, capsys)
     second = run_cli(args, capsys)
     assert first == second
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    # One parser serves every call in a process; a flag or a range given to
+    # one call must not reach the next, so each output matches a fresh run.
+    sequence = [
+        ["pollock", "50", "--witnesses"],
+        ["pollock", "50"],
+        ["verify-identities", "all", "3..4"],
+        ["verify-identities", "all"],
+        ["pollock", "50", "--witnesses"],
+    ]
+    in_process = [run_cli(args, capsys) for args in sequence]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = [run_subprocess(args) for args in sequence]
+    assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]

@@ -1,12 +1,22 @@
 """Modular periods: closed forms, residues, and the empirical detector."""
 
+import time
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from platonics import (
+    PERIOD_MAX_MODULI,
+    PERIOD_MAX_MODULUS,
+    PeriodConsistencyError,
     PlatonicKind,
     check_period_claim,
+    check_period_range,
+    cli,
     closed_form_period,
     empirical_period,
+    periodicity,
     platonic_value,
     residue_sequence,
 )
@@ -81,6 +91,88 @@ def test_empirical_examples():
 def test_empirical_matches_naive_oracle(kind):
     for d in range(2, 41):
         assert empirical_period(kind, d) == naive_min_period(kind, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(list(PlatonicKind)),
+    d=st.integers(min_value=2, max_value=600),
+)
+@example(kind=PlatonicKind.CUBE, d=2)
+@example(kind=PlatonicKind.TETRAHEDRAL, d=3)
+@example(kind=PlatonicKind.CUBE, d=9)
+@example(kind=PlatonicKind.TETRAHEDRAL, d=198)
+def test_four_residue_certificate_matches_full_window(kind, d):
+    assert empirical_period(kind, d) == naive_min_period(kind, d)
+
+
+def test_period_range_value_calls_stay_bounded(monkeypatch, tmp_path):
+    # Each shift costs at most four closed-form values; a window of two
+    # closed-form periods per modulus would cost 328,118 for this command.
+    calls = 0
+
+    def counting(kind, n):
+        nonlocal calls
+        calls += 1
+        return platonic_value(kind, n)
+
+    monkeypatch.setattr(periodicity, "platonic_value", counting)
+    out = tmp_path / "period.csv"
+    assert cli.main(["period", "all", "2..200", "--out", str(out)]) == 0
+    assert calls <= 40_000
+
+
+def test_non_period_closed_form_raises(monkeypatch, capsys):
+    real = closed_form_period
+
+    def wrong(kind, d):
+        return 7 if (kind, d) == (PlatonicKind.CUBE, 10) else real(kind, d)
+
+    monkeypatch.setattr(periodicity, "closed_form_period", wrong)
+    with pytest.raises(PeriodConsistencyError):
+        empirical_period(PlatonicKind.CUBE, 10)
+    assert cli.main(["period", "cube", "10"]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no divisor of 7 is a period of cube mod 10")
+
+
+def test_modulus_over_the_ceiling_rejected():
+    start = time.perf_counter()
+    for call in (empirical_period, check_period_claim):
+        with pytest.raises(ValueError, match="ceiling"):
+            call(PlatonicKind.TETRAHEDRAL, PERIOD_MAX_MODULUS + 1)
+    with pytest.raises(ValueError, match="ceiling"):
+        check_period_range(list(PlatonicKind), 2, PERIOD_MAX_MODULUS + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_range_over_the_ceiling_rejected():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="ceiling"):
+        check_period_range(list(PlatonicKind), 2, PERIOD_MAX_MODULI + 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ceilings_are_inclusive():
+    assert empirical_period(PlatonicKind.CUBE, PERIOD_MAX_MODULUS) == PERIOD_MAX_MODULUS
+    reports = check_period_range([PlatonicKind.CUBE], 2, PERIOD_MAX_MODULI + 1)
+    assert len(reports) == PERIOD_MAX_MODULI
+
+
+@pytest.mark.parametrize(
+    "span",
+    [str(PERIOD_MAX_MODULUS + 1), f"2..{PERIOD_MAX_MODULI + 2}"],
+    ids=["modulus", "range"],
+)
+def test_period_cli_over_the_ceiling_exits_2(span, capsys):
+    start = time.perf_counter()
+    assert cli.main(["period", "all", span]) == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "ceiling" in captured.err
 
 
 def test_check_period_claim_examples():
