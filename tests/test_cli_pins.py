@@ -2,9 +2,13 @@
 
 `golden/cli_matrix.json` stops at N = 40, where no target needs four terms.
 At N = 80000 the targets 26015, 63117 and 75977 do, so these pins cover
-every recovery depth of the default mode; the strict-distinct pin covers
-its depth-first recovery.  The digests were taken from the output of the
-buffered renderer, before witness lines were streamed.
+every recovery depth of the default mode.  The strict-distinct pins cover
+its depth-first recovery: at N = 3000 it never goes past three terms, and
+N = 30000 is the first size whose stream has a four-term target (26015).
+The 80000 and 3000 digests were taken from the output of the buffered
+renderer, before witness lines were streamed; the 30000 digest from the
+stream whose strict search was bounded by prefix sums, before it was
+pruned by the layer masks.
 """
 
 import contextlib
@@ -26,6 +30,10 @@ PINS = {
     ),
     "pollock 3000 --strict-distinct --witnesses --format json": (
         "c7472df981df353e706add8f08d266fd757f38e2235fa1352e5686e419b28b86",
+        5,
+    ),
+    "pollock 30000 --strict-distinct --witnesses --format json": (
+        "da2a01fd68d48d2e80590a7976be7edd08a8f61bbc2e52ad253163bb810a531e",
         5,
     ),
 }
