@@ -17,16 +17,18 @@ and failures are read from the set bits of the final complement.  Every
 layer is bit-identical to the plain shift-or over the whole pool.
 
 A witness is recovered by walking back through the layers, taking the
-largest pool value that leaves a remainder in the layer below.  Witness
-streams look a remainder at layer 2 up in a table of pair sums instead, so
-only the steps from layer 3 up probe pool values.
+largest pool value that leaves a remainder in the layer below.  One walk,
+_witnesses, serves the scans' streams and min_term_decomposition alike.
+With repeats it looks a remainder at layer 2 up in a table of pair sums,
+so only the steps from layer 3 up probe pool values; with distinct values
+it is a depth-first search that the layers prune.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .sequences import PlatonicKind, platonic_value
@@ -229,7 +231,7 @@ def _grow_layer(previous: int, values: list[int], limit: int, full: int) -> int:
     previous_bytes = _mask_bytes(previous, limit)
     reached = bytearray(limit // 8 + 1)
     for h in _set_bits(_mask_bytes(mask ^ full, limit)):
-        # the probe is _has_bit inlined: this loop is the phase's whole cost
+        # the bit probe is inlined: this loop is the phase's whole cost
         for v in rest:
             d = h - v
             if d < 0:
@@ -262,64 +264,32 @@ def _mask_bytes(mask: int, limit: int) -> bytes:
     return mask.to_bytes(limit // 8 + 1, "little")
 
 
-def _has_bit(mask_bytes: bytes, index: int) -> int:
-    return mask_bytes[index >> 3] & (1 << (index & 7))
+def _strict_search(values_desc: list[int], layer_bytes: list[bytes]):
+    """search(target, need, start): the first decomposition of target into
+    `need` distinct values of values_desc[start:], in descending order, or
+    None.
 
-
-def _recover_terms(
-    target: int, depth: int, layer_bytes: list[bytes], values_asc: list[int]
-) -> list[int]:
-    """Walk back through the layers, largest feasible value first."""
-    terms = []
-    remaining = target
-    for k in range(depth, 0, -1):
-        previous = layer_bytes[k - 1]
-        hi = bisect_right(values_asc, remaining)
-        for i in range(hi - 1, -1, -1):
-            v = values_asc[i]
-            if _has_bit(previous, remaining - v):
-                terms.append(v)
-                remaining -= v
-                break
-        else:
-            raise RuntimeError(
-                f"no predecessor for {remaining} at layer {k}; masks corrupt"
-            )
-    return terms
-
-
-def _strict_search(values_desc: list[int]):
-    """search(target, depth, start): the first decomposition of target into
-    `depth` distinct values of values_desc[start:], in descending order, or
-    None.  The prefix sums are built once and shared by every call."""
+    A value v is tried only if target - v is set in layer_bytes[need - 1],
+    the sums of at most need - 1 distinct values, so no branch is entered
+    that cannot complete.  Layer 0 holds only the empty sum, so the last
+    value taken is what remains.
+    """
     total = len(values_desc)
-    prefix = [0]
-    for v in values_desc:
-        prefix.append(prefix[-1] + v)
 
     def search(remaining: int, need: int, start: int) -> list[int] | None:
-        if need == 0:
-            return [] if remaining == 0 else None
+        below = layer_bytes[need - 1]
         for idx in range(start, total):
-            v = values_desc[idx]
-            if v > remaining:
+            d = remaining - values_desc[idx]
+            if d < 0 or not below[d >> 3] >> (d & 7) & 1:
                 continue
-            best = prefix[min(idx + need, total)] - prefix[idx]
-            if best < remaining:
-                return None
-            rest = search(remaining - v, need - 1, idx + 1)
+            if need == 1:
+                return [values_desc[idx]]
+            rest = search(d, need - 1, idx + 1)
             if rest is not None:
-                return [v, *rest]
+                return [values_desc[idx], *rest]
         return None
 
     return search
-
-
-def _recover_terms_strict(
-    target: int, depth: int, values_desc: list[int]
-) -> list[int] | None:
-    """First decomposition into `depth` distinct values, descending order."""
-    return _strict_search(values_desc)(target, depth, 0)
 
 
 def min_term_decomposition(
@@ -332,43 +302,34 @@ def min_term_decomposition(
 
     The pool must contain every platonic value up to m (build it with
     limit >= m); None means no decomposition exists within the budget,
-    which is a result, not an error.
+    which is a result, not an error.  m is held to the scans' ceiling,
+    since its masks are (m + 1)-bit layers like a scan's.
     """
-    if m < 1:
-        raise ValueError(f"target must be >= 1, got {m}")
+    _check_scan_args(m, max_terms, DEFAULT_SCAN_CEILING, "target")
+    values = [entry.value for entry in pool if entry.value <= m]
+    masks = _layer_masks(values, m, max_terms, strict_distinct, stop_bit=m)
+    return next(_witnesses([m], m, masks, pool, strict_distinct), None)
+
+
+def _check_scan_args(
+    n: int, max_terms: int, ceiling: int, name: str = "scan bound"
+) -> None:
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
     if max_terms < 1:
         raise ValueError(f"term budget must be >= 1, got {max_terms}")
-    values = [entry.value for entry in pool if entry.value <= m]
-    if not values:
-        return None
-    masks = _layer_masks(values, m, max_terms, strict_distinct, stop_bit=m)
-    depth = len(masks) - 1
-    if not (masks[depth] >> m) & 1:
-        return None
-    if strict_distinct:
-        term_values = _recover_terms_strict(m, depth, values[::-1])
-        if term_values is None:
-            raise RuntimeError(f"strict recovery failed for {m}; masks corrupt")
-    else:
-        layer_bytes = [_mask_bytes(mask, m) for mask in masks]
-        term_values = _recover_terms(m, depth, layer_bytes, values)
-    by_value = {entry.value: entry for entry in pool}
-    return Witness(target=m, terms=tuple(by_value[v] for v in term_values))
+    if n > ceiling:
+        raise ValueError(
+            f"{name} {n} exceeds the ceiling {ceiling}; "
+            f"raise the ceiling explicitly if you really want this"
+        )
 
 
 def _scan_layers(
     n: int, max_terms: int, strict_distinct: bool, ceiling: int
 ) -> tuple[list[PoolEntry], list[int]]:
     """Check the scan arguments, then build the pool and the layer masks."""
-    if n < 1:
-        raise ValueError(f"scan bound must be >= 1, got {n}")
-    if max_terms < 1:
-        raise ValueError(f"term budget must be >= 1, got {max_terms}")
-    if n > ceiling:
-        raise ValueError(
-            f"scan bound {n} exceeds the ceiling {ceiling}; "
-            f"raise the ceiling explicitly if you really want this"
-        )
+    _check_scan_args(n, max_terms, ceiling)
     pool = platonic_pool(n)
     values = [entry.value for entry in pool]
     return pool, _layer_masks(values, n, max_terms, strict_distinct)
@@ -411,15 +372,14 @@ def scan_with_witnesses(
     witness for every representable m, recovered from the same masks."""
     pool, masks = _scan_layers(n, max_terms, strict_distinct, DEFAULT_SCAN_CEILING)
     report = _report_from_masks(n, max_terms, strict_distinct, masks)
-    return report, _iter_witnesses_from_masks(n, masks, pool, strict_distinct)
+    return report, _witnesses(range(1, n + 1), n, masks, pool, strict_distinct)
 
 
 def iter_witnesses(
     n: int, max_terms: int = 5, strict_distinct: bool = False
 ) -> Iterator[Witness]:
     """Yield a minimal witness for every representable m in [1, n]."""
-    pool, masks = _scan_layers(n, max_terms, strict_distinct, DEFAULT_SCAN_CEILING)
-    yield from _iter_witnesses_from_masks(n, masks, pool, strict_distinct)
+    yield from scan_with_witnesses(n, max_terms, strict_distinct)[1]
 
 
 def _pair_largest(values: list[int], limit: int) -> dict[int, int]:
@@ -427,8 +387,7 @@ def _pair_largest(values: list[int], limit: int) -> dict[int, int]:
 
     Pairs are enumerated as layer 2 enumerates them, v ascending and w >= v,
     and the first pair of each sum is kept.  It has the smallest v, so its w
-    is the value that the largest-first walk of _recover_terms picks for a
-    remainder at layer 2.
+    is the value that a largest-first probe of a remainder at layer 2 takes.
     """
     largest: dict[int, int] = {}
     for i, v in enumerate(values):
@@ -440,83 +399,69 @@ def _pair_largest(values: list[int], limit: int) -> dict[int, int]:
     return largest
 
 
-def _iter_witnesses_from_masks(
-    n: int,
+def _witnesses(
+    targets: Iterable[int],
+    limit: int,
     masks: list[int],
     pool: list[PoolEntry],
     strict_distinct: bool,
 ) -> Iterator[Witness]:
-    recover = _strict_witnesses if strict_distinct else _default_witnesses
-    return recover(n, masks, pool)
+    """A minimal witness for every target in `targets` that the masks reach.
 
-
-def _default_witnesses(
-    n: int, masks: list[int], pool: list[PoolEntry]
-) -> Iterator[Witness]:
-    """A witness for every representable m in [1, n], repeats allowed.
-
-    Its terms are those of _recover_terms: a remainder at layer 2 is one
-    lookup in the pair table, and only the steps from layer 3 up probe pool
-    values, largest first.
+    `masks` are _layer_masks over the values of `pool` up to `limit`.  A
+    target's depth is the first layer that holds it.  Its terms come from
+    walking back through the layers, each step taking the largest pool value
+    that leaves a remainder in the layer below.  With repeats that choice
+    always completes: a remainder at layer 2 is one lookup in the pair
+    table, and only the steps from layer 3 up probe pool values.  With
+    distinct values a choice can strand the rest, so the walk is the
+    depth-first _strict_search, which backs up past it.
     """
-    layer_bytes = [_mask_bytes(mask, n) for mask in masks]
-    built = len(masks) - 1
-    ones = layer_bytes[1]
-    values_asc = [entry.value for entry in pool]
-    by_value = {entry.value: entry for entry in pool}
-    pairs = _pair_largest(values_asc, n) if built >= 2 else {}
-    for m in range(1, n + 1):
-        byte, bit = m >> 3, m & 7
-        if ones[byte] >> bit & 1:
-            yield Witness(m, (by_value[m],))
-            continue
-        depth = 2
-        while depth <= built and not layer_bytes[depth][byte] >> bit & 1:
-            depth += 1
-        if depth > built:
-            continue
-        terms = []
-        remaining = m
-        for k in range(depth, 2, -1):
-            previous = layer_bytes[k - 1]
-            for i in range(bisect_right(values_asc, remaining) - 1, -1, -1):
-                d = remaining - values_asc[i]
-                if previous[d >> 3] >> (d & 7) & 1:
-                    terms.append(pool[i])
-                    remaining = d
-                    break
-            else:
-                raise RuntimeError(
-                    f"no predecessor for {remaining} at layer {k}; masks corrupt"
-                )
-        w = pairs.get(remaining)
-        if w is None:
-            raise RuntimeError(
-                f"no predecessor for {remaining} at layer 2; masks corrupt"
-            )
-        terms += (by_value[w], by_value[remaining - w])
-        yield Witness(m, tuple(terms))
-
-
-def _strict_witnesses(
-    n: int, masks: list[int], pool: list[PoolEntry]
-) -> Iterator[Witness]:
-    """A witness for every representable m in [1, n], distinct values."""
-    layer_bytes = [_mask_bytes(mask, n) for mask in masks]
+    layer_bytes = [_mask_bytes(mask, limit) for mask in masks]
     built = len(masks) - 1
     values_asc = [entry.value for entry in pool]
     by_value = {entry.value: entry for entry in pool}
-    total = len(values_asc)
-    search = _strict_search(values_asc[::-1])
-    for m in range(1, n + 1):
+    if strict_distinct:
+        search = _strict_search(values_asc[::-1], layer_bytes)
+        total = len(values_asc)
+    else:
+        pairs = _pair_largest(values_asc, limit) if built >= 2 else {}
+    # the mode is tested per target, not bound to a function before the
+    # loop: a call per target made the default stream about 4% slower
+    for m in targets:
         byte, bit = m >> 3, m & 7
         depth = 1
         while depth <= built and not layer_bytes[depth][byte] >> bit & 1:
             depth += 1
         if depth > built:
             continue
-        # the values <= m start at this index of the descending list
-        term_values = search(m, depth, total - bisect_right(values_asc, m))
-        if term_values is None:
-            raise RuntimeError(f"strict recovery failed for {m}; masks corrupt")
-        yield Witness(m, tuple([by_value[v] for v in term_values]))
+        if depth == 1:
+            yield Witness(m, (by_value[m],))
+        elif strict_distinct:
+            # the values <= m start at this index of the descending list
+            term_values = search(m, depth, total - bisect_right(values_asc, m))
+            if term_values is None:
+                raise RuntimeError(f"strict recovery failed for {m}; masks corrupt")
+            yield Witness(m, tuple([by_value[v] for v in term_values]))
+        else:
+            terms = []
+            remaining = m
+            for k in range(depth, 2, -1):
+                previous = layer_bytes[k - 1]
+                for i in range(bisect_right(values_asc, remaining) - 1, -1, -1):
+                    d = remaining - values_asc[i]
+                    if previous[d >> 3] >> (d & 7) & 1:
+                        terms.append(pool[i])
+                        remaining = d
+                        break
+                else:
+                    raise RuntimeError(
+                        f"no predecessor for {remaining} at layer {k}; masks corrupt"
+                    )
+            w = pairs.get(remaining)
+            if w is None:
+                raise RuntimeError(
+                    f"no predecessor for {remaining} at layer 2; masks corrupt"
+                )
+            terms += (by_value[w], by_value[remaining - w])
+            yield Witness(m, tuple(terms))

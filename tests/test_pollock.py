@@ -1,6 +1,7 @@
 """Decomposition search: pool, minimal witnesses, scans, verification."""
 
 import itertools
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from platonics import (
     PlatonicKind,
     PoolEntry,
     Witness,
+    iter_witnesses,
     min_term_decomposition,
     platonic_pool,
     scan_conjecture,
@@ -97,6 +99,13 @@ def test_min_term_validation():
         min_term_decomposition(0, pool)
     with pytest.raises(ValueError):
         min_term_decomposition(5, pool, max_terms=0)
+
+
+def test_min_term_refuses_over_the_ceiling():
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="ceiling"):
+        min_term_decomposition(10**8 + 1, platonic_pool(10))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_min_terms_match_brute_force():
@@ -288,6 +297,24 @@ def test_strict_distinct_matches_brute_force():
         witness = min_term_decomposition(m, pool, strict_distinct=True)
         observed = len(witness.terms) if witness else None
         assert observed == oracle.get(m), f"strict min terms disagree at {m}"
+    targets = []
+    for witness in iter_witnesses(limit, strict_distinct=True):
+        values = witness.term_values
+        assert len(values) == oracle[witness.target], witness.target
+        assert len(set(values)) == len(values)
+        assert verify_witness(witness)
+        targets.append(witness.target)
+    assert targets == sorted(oracle)
+
+
+def test_strict_recovery_never_reuses_a_value():
+    # a largest-first walk that could reuse a value would reach 9 as 4 + 4 + 1
+    # and 10 as 4 + 4 + 1 + 1 here; the platonic pool has no such target up
+    # to 3 * 10**5, so this pool is made up
+    pool = [PoolEntry(value=v, provenance=()) for v in (1, 2, 3, 4)]
+    for m, terms in ((9, (4, 3, 2)), (10, (4, 3, 2, 1))):
+        witness = min_term_decomposition(m, pool, strict_distinct=True)
+        assert witness.term_values == terms
 
 
 def test_strict_never_beats_default():

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from platonics import cli, iter_witnesses, scan_conjecture, verify_witness
+from platonics import (
+    cli,
+    iter_witnesses,
+    min_term_decomposition,
+    platonic_pool,
+    scan_conjecture,
+    verify_witness,
+)
 
 ORACLE_LIMIT = 3000
 
@@ -115,11 +122,17 @@ def test_every_witness_verifies_and_is_minimal(n, max_terms):
 @example(n=2, max_terms=2)
 def test_witnesses_follow_the_largest_first_path(n, max_terms):
     targets = []
+    first_of_depth = {}
     for witness in iter_witnesses(n, max_terms=max_terms):
         assert witness.term_values == PATHS[witness.target]
         assert cli._witness_line(witness) == json.dumps(witness.to_json_dict()) + "\n"
         targets.append(witness.target)
+        first_of_depth.setdefault(len(witness.terms), witness.target)
     assert targets == [t for t in range(1, n + 1) if DEPTH[t] <= max_terms]
+    # a single target takes the same walk as the stream
+    pool = platonic_pool(n)
+    for m in {*first_of_depth.values(), *targets[-1:]}:
+        assert min_term_decomposition(m, pool, max_terms).term_values == PATHS[m]
 
 
 def test_scan_million_pinned():
