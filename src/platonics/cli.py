@@ -23,11 +23,11 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain
+from itertools import chain, starmap
 
 from .identities import IdentityCheck, identity_residual
 from .periodicity import PeriodConsistencyError, PeriodReport, check_period_range
-from .pollock import ScanReport, Witness, scan_with_witnesses
+from .pollock import ScanReport, _scan_terms
 from .representations import NotDivisibleError, Representation, represent_multiple
 from .sequences import (
     DifferenceTable,
@@ -273,19 +273,40 @@ def _report_fields(report: ScanReport) -> Iterator[dict]:
     return ({"field": field, "value": value} for field, value in fields)
 
 
-def _witness_line(w: Witness) -> str:
-    """`json.dumps(w.to_json_dict()) + "\\n"`, formatted directly: every
-    value is a digit string, so nothing needs escaping."""
-    terms = '", "'.join([str(entry.value) for entry in w.terms])
-    return (
-        f'{{"target": "{w.target}", "min_terms": {len(w.terms)}, '
-        f'"terms": ["{terms}"]}}\n'
-    )
+class _FormatByTermCount(dict):
+    """The %-format of a witness line for each term count, made on first use.
+
+    One `%` per line is about half the cost of joining the terms' text."""
+
+    def __init__(self, make: Callable[[int], str]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, count: int) -> str:
+        self[count] = text = self.make(count)
+        return text
 
 
-def _witness_equation(w: Witness) -> str:
-    terms = " + ".join([str(entry.value) for entry in w.terms])
-    return f"{w.target} = {terms}\n"
+_LINE_FORMATS = _FormatByTermCount(
+    lambda count: '{"target": "%d", "min_terms": '
+    + f'{count}, "terms": ['
+    + ", ".join(['"%d"'] * count)
+    + "]}\n"
+)
+_EQUATION_FORMATS = _FormatByTermCount(
+    lambda count: "%d = " + " + ".join(["%d"] * count) + "\n"
+)
+
+
+def _witness_line(m: int, terms: tuple[int, ...]) -> str:
+    """`json.dumps(w.to_json_dict()) + "\\n"` of the Witness of m with these
+    term values, formatted directly: every value is a digit string, so
+    nothing needs escaping."""
+    return _LINE_FORMATS[len(terms)] % (m, *terms)
+
+
+def _witness_equation(m: int, terms: tuple[int, ...]) -> str:
+    return _EQUATION_FORMATS[len(terms)] % (m, *terms)
 
 
 def _report_text(report: ScanReport) -> str:
@@ -307,18 +328,19 @@ def _report_text(report: ScanReport) -> str:
 def _cmd_pollock(args: argparse.Namespace) -> int:
     if args.witnesses and args.format == "csv":
         raise ValueError("witness streaming needs table or json format")
-    report, witnesses = scan_with_witnesses(
-        args.n, max_terms=args.max_terms, strict_distinct=args.strict_distinct
-    )
+    report, _, witnesses = _scan_terms(args.n, args.max_terms, args.strict_distinct)
     # Witness lines are written as they are recovered, the report last.
     witnesses = witnesses if args.witnesses else iter(())
     _render(
         args,
         _report_fields(report),
         json=lambda: chain(
-            map(_witness_line, witnesses), [json.dumps(report.to_json_dict()) + "\n"]
+            starmap(_witness_line, witnesses),
+            [json.dumps(report.to_json_dict()) + "\n"],
         ),
-        table=lambda: chain(map(_witness_equation, witnesses), [_report_text(report)]),
+        table=lambda: chain(
+            starmap(_witness_equation, witnesses), [_report_text(report)]
+        ),
     )
     return EXIT_COUNTEREXAMPLE if report.failures else EXIT_OK
 

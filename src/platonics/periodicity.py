@@ -100,16 +100,26 @@ def residue_sequence(kind: PlatonicKind, d: int, count: int) -> ResidueSequence:
 
 
 def _divisors(n: int) -> list[int]:
-    small: list[int] = []
-    large: list[int] = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
+    """Divisors of n, ascending, built from its prime factors.
+
+    Trial division stops at the square root of the part of n not yet
+    factored.  A closed-form period is d times 1, 2, 3 or 6, so that part
+    is soon a factor of d, most often far below the square root of n.
+    """
+    divisors = [1]
+    rest = n
+    f = 2
+    while f * f <= rest:
+        if rest % f == 0:
+            powers = [1]
+            while rest % f == 0:
+                rest //= f
+                powers.append(powers[-1] * f)
+            divisors = [x * p for p in powers for x in divisors]
+        f += 1 if f == 2 else 2
+    if rest > 1:
+        divisors += [x * rest for x in divisors]
+    return sorted(divisors)
 
 
 def empirical_period(kind: PlatonicKind, d: int) -> int:

@@ -18,15 +18,19 @@ layer is bit-identical to the plain shift-or over the whole pool.
 
 A witness is recovered by walking back through the layers, taking the
 largest pool value that leaves a remainder in the layer below.  One walk,
-_witnesses, serves the scans' streams and min_term_decomposition alike.
-With repeats it looks a remainder at layer 2 up in a table of pair sums,
-so only the steps from layer 3 up probe pool values; with distinct values
-it is a depth-first search that the layers prune.
+_witnesses, serves the scans' streams and min_term_decomposition alike; it
+yields plain term values, which the CLI formats as they come and the
+library wraps in Witness objects.  With repeats it reads its steps from
+tables: a remainder at layer 2 is looked up in a table of pair sums, and
+the first term of every depth-3 target comes from one bulk pass per pool
+value over a block of targets, so only deeper targets probe pool values.
+With distinct values it is a depth-first search that the layers prune.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -264,23 +268,26 @@ def _mask_bytes(mask: int, limit: int) -> bytes:
     return mask.to_bytes(limit // 8 + 1, "little")
 
 
-def _strict_search(values_desc: list[int], layer_bytes: list[bytes]):
+def _strict_search(values: list[int], layer_bytes: list[bytes]):
     """search(target, need, start): the first decomposition of target into
-    `need` distinct values of values_desc[start:], in descending order, or
-    None.
+    `need` distinct values of values[::-1][start:], in descending order, or
+    None.  `values` is ascending.
 
-    A value v is tried only if target - v is set in layer_bytes[need - 1],
-    the sums of at most need - 1 distinct values, so no branch is entered
-    that cannot complete.  Layer 0 holds only the empty sum, so the last
-    value taken is what remains.
+    Each level starts at the largest value not above what remains.  A value
+    v is tried only if target - v is set in layer_bytes[need - 1], the sums
+    of at most need - 1 distinct values, so no branch is entered that cannot
+    complete.  Layer 0 holds only the empty sum, so the last value taken is
+    what remains.
     """
-    total = len(values_desc)
+    total = len(values)
+    values_desc = values[::-1]
 
     def search(remaining: int, need: int, start: int) -> list[int] | None:
         below = layer_bytes[need - 1]
-        for idx in range(start, total):
+        # the values <= remaining start at this index of the descending list
+        for idx in range(max(start, total - bisect_right(values, remaining)), total):
             d = remaining - values_desc[idx]
-            if d < 0 or not below[d >> 3] >> (d & 7) & 1:
+            if not below[d >> 3] >> (d & 7) & 1:
                 continue
             if need == 1:
                 return [values_desc[idx]]
@@ -308,7 +315,8 @@ def min_term_decomposition(
     _check_scan_args(m, max_terms, DEFAULT_SCAN_CEILING, "target")
     values = [entry.value for entry in pool if entry.value <= m]
     masks = _layer_masks(values, m, max_terms, strict_distinct, stop_bit=m)
-    return next(_witnesses([m], m, masks, pool, strict_distinct), None)
+    found = _witnesses(m, m + 1, m, masks, values, strict_distinct)
+    return next(_with_provenance(found, pool), None)
 
 
 def _check_scan_args(
@@ -365,14 +373,26 @@ def scan_conjecture(
     return _report_from_masks(n, max_terms, strict_distinct, masks)
 
 
+def _scan_terms(
+    n: int, max_terms: int, strict_distinct: bool
+) -> tuple[ScanReport, list[PoolEntry], Iterator[tuple[int, tuple[int, ...]]]]:
+    """One scan of [1, n]: its report, its pool, and (m, term values) of a
+    minimal witness for every representable m, recovered from the same
+    masks.  The CLI formats these plain values; library callers get them
+    as Witness objects from scan_with_witnesses."""
+    pool, masks = _scan_layers(n, max_terms, strict_distinct, DEFAULT_SCAN_CEILING)
+    report = _report_from_masks(n, max_terms, strict_distinct, masks)
+    values = [entry.value for entry in pool]
+    return report, pool, _witnesses(1, n + 1, n, masks, values, strict_distinct)
+
+
 def scan_with_witnesses(
     n: int, max_terms: int = 5, strict_distinct: bool = False
 ) -> tuple[ScanReport, Iterator[Witness]]:
     """One scan of [1, n]: its report, and a lazy stream of a minimal
     witness for every representable m, recovered from the same masks."""
-    pool, masks = _scan_layers(n, max_terms, strict_distinct, DEFAULT_SCAN_CEILING)
-    report = _report_from_masks(n, max_terms, strict_distinct, masks)
-    return report, _witnesses(range(1, n + 1), n, masks, pool, strict_distinct)
+    report, pool, found = _scan_terms(n, max_terms, strict_distinct)
+    return report, _with_provenance(found, pool)
 
 
 def iter_witnesses(
@@ -382,86 +402,186 @@ def iter_witnesses(
     yield from scan_with_witnesses(n, max_terms, strict_distinct)[1]
 
 
-def _pair_largest(values: list[int], limit: int) -> dict[int, int]:
-    """For every pair sum v + w <= limit, the largest term of such a pair.
+def _with_provenance(
+    found: Iterable[tuple[int, tuple[int, ...]]], pool: list[PoolEntry]
+) -> Iterator[Witness]:
+    """The Witness, with the pool entry of every term, for each (m, terms)."""
+    by_value = {entry.value: entry for entry in pool}
+    for m, terms in found:
+        yield Witness(m, tuple([by_value[v] for v in terms]))
 
-    Pairs are enumerated as layer 2 enumerates them, v ascending and w >= v,
-    and the first pair of each sum is kept.  It has the smallest v, so its w
-    is the value that a largest-first probe of a remainder at layer 2 takes.
+
+#: Depth-3 first terms are found for this many targets at a time, so the
+#: table and the bitsets of one pass stay this size however large the scan.
+#: Blocks of 2**14 to 2**20 took the same time at 10^6 and 10^7, but 2**20
+#: raised the peak RSS of `pollock 1000000 --witnesses` from 19 to 28 MB.
+WITNESS_BLOCK = 1 << 16
+
+
+def _pair_largest(values: list[int], limit: int) -> memoryview:
+    """For every pair sum v + w <= limit, 1 + the pool index of the largest
+    term w of such a pair; 0 where no pair sums to the index.
+
+    Pairs are written v descending, so the pair left for a sum has the
+    smallest v, and its w is the value that a largest-first probe of a
+    remainder at layer 2 takes.  'H' holds the index of every pool up to
+    the scan ceiling, which has about 2,500 values.
     """
-    largest: dict[int, int] = {}
-    for i, v in enumerate(values):
-        top = limit - v
-        if v > top:
-            break
-        for w in values[i : bisect_right(values, top)]:
-            largest.setdefault(v + w, w)
+    largest = memoryview(bytearray(2 * (limit + 1))).cast("H")
+    for i in range(bisect_right(values, limit // 2) - 1, -1, -1):
+        v = values[i]
+        for j in range(i, bisect_right(values, limit - v)):
+            largest[v + values[j]] = j + 1
     return largest
 
 
+#: Per bit b, a table from "0"/"1" to the byte 0/2**b, which spreads one
+#: bitplane of pool indices into byte lanes.
+_LANE_BIT = [bytes.maketrans(b"01", bytes([0, 1 << b])) for b in range(8)]
+
+
+def _first_terms(
+    lo: int, hi: int, layer_bytes: list[bytes], values: list[int]
+) -> memoryview:
+    """1 + the pool index of the first term of every m in [lo, hi) whose
+    depth is 3, at index m - lo; 0 for every other m.
+
+    The first term is the largest pool value v that leaves a remainder at
+    layer 2.  One pass per value, largest first, finds it for the whole
+    block: the targets still open are T, the hits are T & (L2 << v), and
+    each hit takes v and leaves T.  A pass reads only the bytes of layer 2
+    under the open targets.  Its hits are not read out bit by bit: they are
+    ORed into one bitplane per bit of the index, and at the end each plane
+    is spread into byte lanes (its binary text, translated) and the lanes
+    are ORed into the table.
+    """
+    span = hi - lo
+    lanes = bytearray(2 * span)
+    if len(layer_bytes) < 4:
+        return memoryview(lanes).cast("H")
+    below, layer = layer_bytes[2], layer_bytes[3]
+    a, b = lo >> 3, ((hi - 1) >> 3) + 1
+    open_ = int.from_bytes(layer[a:b], "little") & ~int.from_bytes(below[a:b], "little")
+    open_ = (open_ >> (lo & 7)) & ((1 << span) - 1)
+    planes = [0] * 16
+    for i in range(bisect_right(values, hi - 1) - 1, -1, -1):
+        if not open_:
+            break
+        # bit j of the window is bit s + j of layer 2, up to the last open target
+        s = lo - values[i]
+        top = s + open_.bit_length()
+        if top <= 0:
+            continue
+        end = ((top - 1) >> 3) + 1
+        if s >= 0:
+            window = int.from_bytes(below[s >> 3 : end], "little") >> (s & 7)
+        else:
+            window = int.from_bytes(below[:end], "little") << -s
+        hits = open_ & window
+        if hits:
+            open_ ^= hits
+            for bit in range((i + 1).bit_length()):
+                if (i + 1) >> bit & 1:
+                    planes[bit] |= hits
+    if open_:
+        m = lo + (open_ & -open_).bit_length() - 1
+        raise RuntimeError(f"no predecessor for {m} at layer 3; masks corrupt")
+    # the low byte of a native 16-bit lane comes first on a little-endian host
+    for half, offset in enumerate((0, 1) if sys.byteorder == "little" else (1, 0)):
+        acc = 0
+        for bit, translate in enumerate(_LANE_BIT):
+            plane = planes[8 * half + bit]
+            if plane:
+                # the text is most significant bit first, so read it big-endian
+                text = format(plane, f"0{span}b").encode().translate(translate)
+                acc |= int.from_bytes(text, "big")
+        lanes[offset::2] = acc.to_bytes(span, "little")
+    return memoryview(lanes).cast("H")
+
+
+def _depth(m: int, layer_bytes: list[bytes]) -> int:
+    """The first layer that holds m; len(layer_bytes) if none does."""
+    byte, bit = m >> 3, m & 7
+    depth = 1
+    while depth < len(layer_bytes) and not layer_bytes[depth][byte] >> bit & 1:
+        depth += 1
+    return depth
+
+
 def _witnesses(
-    targets: Iterable[int],
+    lo: int,
+    hi: int,
     limit: int,
     masks: list[int],
-    pool: list[PoolEntry],
+    values: list[int],
     strict_distinct: bool,
-) -> Iterator[Witness]:
-    """A minimal witness for every target in `targets` that the masks reach.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(m, term values) of a minimal witness for every m in [lo, hi) that
+    the masks reach.
 
-    `masks` are _layer_masks over the values of `pool` up to `limit`.  A
-    target's depth is the first layer that holds it.  Its terms come from
-    walking back through the layers, each step taking the largest pool value
-    that leaves a remainder in the layer below.  With repeats that choice
-    always completes: a remainder at layer 2 is one lookup in the pair
-    table, and only the steps from layer 3 up probe pool values.  With
-    distinct values a choice can strand the rest, so the walk is the
-    depth-first _strict_search, which backs up past it.
+    `masks` are _layer_masks over the ascending pool `values` up to
+    `limit`.  A target's depth is the first layer that holds it.  Its terms
+    come from walking back through the layers, each step taking the largest
+    pool value that leaves a remainder in the layer below.  With repeats
+    that choice always completes: a remainder at layer 2 is one lookup in
+    the pair table, a target at depth 3 takes its first term from the
+    block's bulk pass (_first_terms), and only the steps of deeper targets
+    probe pool values.  With distinct values a choice can strand the rest,
+    so the walk is the depth-first _strict_search, which backs up past it.
     """
     layer_bytes = [_mask_bytes(mask, limit) for mask in masks]
     built = len(masks) - 1
-    values_asc = [entry.value for entry in pool]
-    by_value = {entry.value: entry for entry in pool}
+    # the walk reads only the bytes; a stream's frame would hold both to its end
+    del masks
     if strict_distinct:
-        search = _strict_search(values_asc[::-1], layer_bytes)
-        total = len(values_asc)
-    else:
-        pairs = _pair_largest(values_asc, limit) if built >= 2 else {}
-    # the mode is tested per target, not bound to a function before the
-    # loop: a call per target made the default stream about 4% slower
-    for m in targets:
-        byte, bit = m >> 3, m & 7
-        depth = 1
-        while depth <= built and not layer_bytes[depth][byte] >> bit & 1:
-            depth += 1
-        if depth > built:
-            continue
-        if depth == 1:
-            yield Witness(m, (by_value[m],))
-        elif strict_distinct:
-            # the values <= m start at this index of the descending list
-            term_values = search(m, depth, total - bisect_right(values_asc, m))
-            if term_values is None:
+        search = _strict_search(values, layer_bytes)
+        for m in range(lo, hi):
+            depth = _depth(m, layer_bytes)
+            if depth > built:
+                continue
+            terms = search(m, depth, 0)
+            if terms is None:
                 raise RuntimeError(f"strict recovery failed for {m}; masks corrupt")
-            yield Witness(m, tuple([by_value[v] for v in term_values]))
-        else:
-            terms = []
-            remaining = m
-            for k in range(depth, 2, -1):
-                previous = layer_bytes[k - 1]
-                for i in range(bisect_right(values_asc, remaining) - 1, -1, -1):
-                    d = remaining - values_asc[i]
-                    if previous[d >> 3] >> (d & 7) & 1:
-                        terms.append(pool[i])
-                        remaining = d
-                        break
-                else:
-                    raise RuntimeError(
-                        f"no predecessor for {remaining} at layer {k}; masks corrupt"
-                    )
-            w = pairs.get(remaining)
-            if w is None:
+            yield m, tuple(terms)
+        return
+    pairs = _pair_largest(values, limit) if built >= 2 else None
+    # the tables hold 1 + a pool index, so that 0 can mean "no such term"
+    value_at = [0, *values]
+    for start in range(lo, hi, WITNESS_BLOCK):
+        stop = min(start + WITNESS_BLOCK, hi)
+        first = _first_terms(start, stop, layer_bytes, values)
+        for m, i in zip(range(start, stop), first):
+            if i:
+                v = value_at[i]
+                remaining = m - v
+            else:
+                depth = _depth(m, layer_bytes)
+                if depth > built:
+                    continue
+                if depth == 1:
+                    yield m, (m,)
+                    continue
+                terms = []
+                remaining = m
+                for k in range(depth, 2, -1):
+                    previous = layer_bytes[k - 1]
+                    for j in range(bisect_right(values, remaining) - 1, -1, -1):
+                        d = remaining - values[j]
+                        if previous[d >> 3] >> (d & 7) & 1:
+                            terms.append(values[j])
+                            remaining = d
+                            break
+                    else:
+                        raise RuntimeError(
+                            f"no predecessor for {remaining} at layer {k}; "
+                            "masks corrupt"
+                        )
+            w = value_at[pairs[remaining]]
+            if not w:
                 raise RuntimeError(
                     f"no predecessor for {remaining} at layer 2; masks corrupt"
                 )
-            terms += (by_value[w], by_value[remaining - w])
-            yield Witness(m, tuple(terms))
+            if i:
+                yield m, (v, w, remaining - w)
+            else:
+                yield m, (*terms, w, remaining - w)

@@ -106,6 +106,23 @@ def test_four_residue_certificate_matches_full_window(kind, d):
     assert empirical_period(kind, d) == naive_min_period(kind, d)
 
 
+def trial_division_divisors(n):
+    small = [f for f in range(1, int(n**0.5) + 1) if n % f == 0]
+    return sorted({*small, *(n // f for f in small)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=10**6))
+@example(n=1)
+@example(n=999_983)  # the largest prime below 10**6
+@example(n=2 * 999_983)
+@example(n=720_720)
+@example(n=2**19)
+@example(n=997 * 997)
+def test_divisors_match_trial_division(n):
+    assert periodicity._divisors(n) == trial_division_divisors(n)
+
+
 def test_period_range_value_calls_stay_bounded(monkeypatch, tmp_path):
     # Each shift costs at most four closed-form values; a window of two
     # closed-form periods per modulus would cost 328,118 for this command.

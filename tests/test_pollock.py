@@ -317,6 +317,44 @@ def test_strict_recovery_never_reuses_a_value():
         assert witness.term_values == terms
 
 
+def with_bit(masks, bit, layer):
+    """Layer masks that also claim `bit` from `layer` up, as a corrupt build might."""
+    return [mask | 1 << bit if k >= layer else mask for k, mask in enumerate(masks)]
+
+
+@pytest.mark.parametrize(
+    "claims, lo, message",
+    [
+        # a target at depth 2 whose pair entry is empty
+        ([(6, 2)], 1, "no predecessor for 6 at layer 2"),
+        # a depth-3 target that no pass of the bulk pass hits
+        ([(7, 3)], 1, "no predecessor for 7 at layer 3"),
+        # a deeper target whose largest-first probe finds nothing
+        ([(8, 4)], 1, "no predecessor for 8 at layer 4"),
+        # 7 = 5 + 2 passes the bulk pass, then 2 has no pair entry
+        ([(2, 2), (7, 3)], 7, "no predecessor for 2 at layer 2"),
+    ],
+)
+def test_corrupt_masks_raise(claims, lo, message):
+    # with the single value 5, the layers hold 0, 5, 10, 15, 20 and no other sum
+    values = [5]
+    masks = pollock._layer_masks(values, 20, 4, False)
+    assert masks == [1, 1 | 1 << 5, 0x421, 0x8421, 0x108421]
+    for bit, layer in claims:
+        masks = with_bit(masks, bit, layer)
+    with pytest.raises(RuntimeError, match=f"{message}; masks corrupt"):
+        list(pollock._witnesses(lo, 21, 20, masks, values, False))
+
+
+def test_corrupt_strict_masks_raise():
+    # no two distinct values of 1..4 sum to 11
+    values = [1, 2, 3, 4]
+    masks = with_bit(pollock._layer_masks(values, 12, 4, True), 11, 2)
+    message = "strict recovery failed for 11; masks corrupt"
+    with pytest.raises(RuntimeError, match=message):
+        list(pollock._witnesses(1, 13, 12, masks, values, True))
+
+
 def test_strict_never_beats_default():
     pool = platonic_pool(100)
     for m in range(1, 101):

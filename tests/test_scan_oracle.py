@@ -17,8 +17,10 @@ from platonics import (
     iter_witnesses,
     min_term_decomposition,
     platonic_pool,
+    pollock,
     scan_conjecture,
     verify_witness,
+    witness_from_values,
 )
 
 ORACLE_LIMIT = 3000
@@ -121,18 +123,43 @@ def test_every_witness_verifies_and_is_minimal(n, max_terms):
 @example(n=ORACLE_LIMIT, max_terms=5)
 @example(n=2, max_terms=2)
 def test_witnesses_follow_the_largest_first_path(n, max_terms):
+    pool = platonic_pool(n)
+    # the CLI formats the plain values of the same walk
+    _, _, found = pollock._scan_terms(n, max_terms, False)
     targets = []
     first_of_depth = {}
-    for witness in iter_witnesses(n, max_terms=max_terms):
-        assert witness.term_values == PATHS[witness.target]
-        assert cli._witness_line(witness) == json.dumps(witness.to_json_dict()) + "\n"
+    stream = iter_witnesses(n, max_terms=max_terms)
+    for witness, (m, terms) in zip(stream, found, strict=True):
+        path = PATHS[witness.target]
+        assert witness.term_values == path
+        assert witness == witness_from_values(witness.target, path, pool)
+        assert (m, terms) == (witness.target, witness.term_values)
+        assert cli._witness_line(m, terms) == json.dumps(witness.to_json_dict()) + "\n"
         targets.append(witness.target)
         first_of_depth.setdefault(len(witness.terms), witness.target)
     assert targets == [t for t in range(1, n + 1) if DEPTH[t] <= max_terms]
     # a single target takes the same walk as the stream
-    pool = platonic_pool(n)
     for m in {*first_of_depth.values(), *targets[-1:]}:
         assert min_term_decomposition(m, pool, max_terms).term_values == PATHS[m]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1000])
+def test_witness_blocks_join_up(block, monkeypatch):
+    # blocks that are not whole bytes put block edges inside layer bytes
+    monkeypatch.setattr(pollock, "WITNESS_BLOCK", block)
+    n = ORACLE_LIMIT
+    found = list(pollock._scan_terms(n, 5, False)[2])
+    assert found == [(t, PATHS[t]) for t in range(1, n + 1) if DEPTH[t] <= 5]
+    # the bulk pass gives the first term of every depth-3 target and no other;
+    # the walk would probe for a target it missed, so check its table too
+    values = platonic_values_upto(n)
+    masks = pollock._layer_masks(values, n, 5, False)
+    layer_bytes = [pollock._mask_bytes(mask, n) for mask in masks]
+    for lo in range(1, n + 1, block):
+        hi = min(lo + block, n + 1)
+        first = pollock._first_terms(lo, hi, layer_bytes, values)
+        got = [values[i - 1] if i else None for i in first]
+        assert got == [PATHS[t][0] if DEPTH[t] == 3 else None for t in range(lo, hi)]
 
 
 def test_scan_million_pinned():

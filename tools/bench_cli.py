@@ -1,0 +1,148 @@
+"""Time `platonics` command lines on two source trees, in fresh interpreters.
+
+    python tools/bench_cli.py --base PARENT_TREE --change . --runs 5 \
+        --out BENCH_7.json "pollock 300000 --witnesses --format json" ...
+
+Each command line runs `platonics ARGS` as `python -m platonics` would, with
+PYTHONPATH set to the tree's `src`, once per tree per round.  The rounds
+alternate which tree goes first, so drift in the host's speed falls on both
+sides alike.  Per command and tree the output records the wall clock and
+the peak resident set size of every run, their median and quartiles, the
+exit codes, and the sha256 of stdout, which must agree between the trees
+for a refactor that keeps outputs byte-identical.  The peak is the child's
+own VmHWM, which it reads from /proc/self/status as it exits: the rusage
+maximum of a child starts at the RSS of the process that forked it, so it
+cannot show a peak below this script's own.
+
+The file is one JSON object, the schema every BENCH_<n>.json written with
+this script shares:
+
+    {"schema": "bench_cli/1", "host": {...}, "runs": N,
+     "commands": [{"args": "...", "trees": {"base": STATS, "change": STATS}}]}
+
+    STATS = {"wall_s": {"median", "q1", "q3", "runs": [...]},
+             "vmhwm_mb": {...}, "exit": [...], "stdout_sha256": [...]}
+
+Other sections (stage timings, notes) may be added to the object by hand;
+the script keeps any key of an existing --out file that it does not write.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SCHEMA = "bench_cli/1"
+
+#: Runs platonics as `python -m platonics ARGS` does, then writes its VmHWM
+#: in kB to the file named by the first argument.
+CHILD = """
+import atexit, runpy, sys
+def report(path=sys.argv[1]):
+    with open("/proc/self/status") as status, open(path, "w") as out:
+        out.write(next(l for l in status if l.startswith("VmHWM")).split()[1])
+atexit.register(report)
+sys.argv = ["platonics", *sys.argv[2:]]
+runpy.run_module("platonics", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_once(tree: Path, args: list[str]) -> tuple[float, float, int, str]:
+    """Wall seconds, VmHWM in MB, exit code and stdout sha256 of one run."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryDirectory() as tmp:
+        peak = Path(tmp) / "vmhwm"
+        started = time.perf_counter()
+        code = subprocess.call(
+            [sys.executable, "-c", CHILD, str(peak), *args],
+            env=env,
+            stdout=out,
+            stderr=subprocess.DEVNULL,
+        )
+        wall = time.perf_counter() - started
+        out.seek(0)
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: out.read(1 << 20), b""):
+            digest.update(chunk)
+        hwm_kb = int(peak.read_text())
+    return wall, hwm_kb / 1024, code, digest.hexdigest()
+
+
+def summary(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {
+        "median": round(median, 4),
+        "q1": round(q1, 4),
+        "q3": round(q3, 4),
+        "runs": [round(s, 4) for s in samples],
+    }
+
+
+def bench(trees: dict[str, Path], command: str, runs: int) -> dict:
+    args = command.split()
+    taken: dict[str, list[tuple]] = {name: [] for name in trees}
+    names = list(trees)
+    for round_ in range(runs):
+        for name in names if round_ % 2 == 0 else names[::-1]:
+            taken[name].append(run_once(trees[name], args))
+            wall, hwm, code, _ = taken[name][-1]
+            print(
+                f"{command} [{name}] {wall:.3f} s {hwm:.1f} MB exit {code}",
+                file=sys.stderr,
+            )
+    result = {}
+    for name, samples in taken.items():
+        walls, hwms, codes, digests = zip(*samples)
+        result[name] = {
+            "wall_s": summary(list(walls)),
+            "vmhwm_mb": summary(list(hwms)),
+            "exit": sorted(set(codes)),
+            "stdout_sha256": sorted(set(digests)),
+        }
+    return {"args": command, "trees": result}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("commands", nargs="+", help="platonics arguments, quoted")
+    parser.add_argument("--base", type=Path, required=True, help="parent source tree")
+    parser.add_argument("--change", type=Path, required=True, help="changed tree")
+    parser.add_argument("--runs", type=int, default=5, help="runs per tree (>= 3)")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json")
+    args = parser.parse_args(argv)
+    if args.runs < 3:
+        parser.error("--runs must be at least 3")
+    trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    document = json.loads(args.out.read_text()) if args.out.exists() else {}
+    document.update(
+        schema=SCHEMA,
+        host={
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+        },
+        runs=args.runs,
+        commands=[bench(trees, command, args.runs) for command in args.commands],
+    )
+    args.out.write_text(json.dumps(document, indent=1) + "\n")
+    mismatched = [
+        c["args"]
+        for c in document["commands"]
+        if c["trees"]["base"]["stdout_sha256"] != c["trees"]["change"]["stdout_sha256"]
+    ]
+    for command in mismatched:
+        print(f"stdout differs between the trees: {command}", file=sys.stderr)
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
