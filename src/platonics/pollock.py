@@ -20,11 +20,11 @@ A witness is recovered by walking back through the layers, taking the
 largest pool value that leaves a remainder in the layer below.  One walk,
 _witnesses, serves the scans' streams and min_term_decomposition alike; it
 yields plain term values, which the CLI formats as they come and the
-library wraps in Witness objects.  With repeats it reads its steps from
-tables: a remainder at layer 2 is looked up in a table of pair sums, and
-the first term of every depth-3 target comes from one bulk pass per pool
-value over a block of targets, so only deeper targets probe pool values.
-With distinct values it is a depth-first search that the layers prune.
+library wraps in Witness objects.  With repeats every step is one lookup
+in a single first-term table over [0, limit], filled by bulk passes per
+layer and pool value over blocks of targets, so the walk of a target is a
+chain of lookups down to 0.  With distinct values it is a depth-first
+search that the layers prune.
 """
 
 from __future__ import annotations
@@ -90,9 +90,16 @@ class ScanReport:
 
 
 def platonic_pool(limit: int) -> list[PoolEntry]:
-    """All platonic values in [1, limit], merged, sorted, with provenance."""
+    """All platonic values in [1, limit], merged, sorted, with provenance.
+
+    limit is held to the scans' ceiling, the largest bound any scan uses.
+    """
     if limit < 1:
         raise ValueError(f"pool limit must be >= 1, got {limit}")
+    if limit > DEFAULT_SCAN_CEILING:
+        raise ValueError(
+            f"pool limit {limit} exceeds the ceiling {DEFAULT_SCAN_CEILING}"
+        )
     attained: dict[int, list[tuple[PlatonicKind, int]]] = {}
     for kind in PlatonicKind:
         n = 1
@@ -312,32 +319,27 @@ def min_term_decomposition(
     which is a result, not an error.  m is held to the scans' ceiling,
     since its masks are (m + 1)-bit layers like a scan's.
     """
-    _check_scan_args(m, max_terms, DEFAULT_SCAN_CEILING, "target")
+    _check_scan_args(m, max_terms, "target")
     values = [entry.value for entry in pool if entry.value <= m]
     masks = _layer_masks(values, m, max_terms, strict_distinct, stop_bit=m)
     found = _witnesses(m, m + 1, m, masks, values, strict_distinct)
     return next(_with_provenance(found, pool), None)
 
 
-def _check_scan_args(
-    n: int, max_terms: int, ceiling: int, name: str = "scan bound"
-) -> None:
+def _check_scan_args(n: int, max_terms: int, name: str = "scan bound") -> None:
     if n < 1:
         raise ValueError(f"{name} must be >= 1, got {n}")
     if max_terms < 1:
         raise ValueError(f"term budget must be >= 1, got {max_terms}")
-    if n > ceiling:
-        raise ValueError(
-            f"{name} {n} exceeds the ceiling {ceiling}; "
-            f"raise the ceiling explicitly if you really want this"
-        )
+    if n > DEFAULT_SCAN_CEILING:
+        raise ValueError(f"{name} {n} exceeds the ceiling {DEFAULT_SCAN_CEILING}")
 
 
 def _scan_layers(
-    n: int, max_terms: int, strict_distinct: bool, ceiling: int
+    n: int, max_terms: int, strict_distinct: bool
 ) -> tuple[list[PoolEntry], list[int]]:
     """Check the scan arguments, then build the pool and the layer masks."""
-    _check_scan_args(n, max_terms, ceiling)
+    _check_scan_args(n, max_terms)
     pool = platonic_pool(n)
     values = [entry.value for entry in pool]
     return pool, _layer_masks(values, n, max_terms, strict_distinct)
@@ -363,13 +365,10 @@ def _report_from_masks(
 
 
 def scan_conjecture(
-    n: int,
-    max_terms: int = 5,
-    strict_distinct: bool = False,
-    ceiling: int = DEFAULT_SCAN_CEILING,
+    n: int, max_terms: int = 5, strict_distinct: bool = False
 ) -> ScanReport:
     """Decide for every integer in [1, n] whether it decomposes in budget."""
-    _, masks = _scan_layers(n, max_terms, strict_distinct, ceiling)
+    _, masks = _scan_layers(n, max_terms, strict_distinct)
     return _report_from_masks(n, max_terms, strict_distinct, masks)
 
 
@@ -380,7 +379,7 @@ def _scan_terms(
     minimal witness for every representable m, recovered from the same
     masks.  The CLI formats these plain values; library callers get them
     as Witness objects from scan_with_witnesses."""
-    pool, masks = _scan_layers(n, max_terms, strict_distinct, DEFAULT_SCAN_CEILING)
+    pool, masks = _scan_layers(n, max_terms, strict_distinct)
     report = _report_from_masks(n, max_terms, strict_distinct, masks)
     values = [entry.value for entry in pool]
     return report, pool, _witnesses(1, n + 1, n, masks, values, strict_distinct)
@@ -411,29 +410,11 @@ def _with_provenance(
         yield Witness(m, tuple([by_value[v] for v in terms]))
 
 
-#: Depth-3 first terms are found for this many targets at a time, so the
-#: table and the bitsets of one pass stay this size however large the scan.
-#: Blocks of 2**14 to 2**20 took the same time at 10^6 and 10^7, but 2**20
-#: raised the peak RSS of `pollock 1000000 --witnesses` from 19 to 28 MB.
+#: The first-term table is filled for this many targets at a time, so the
+#: bitsets of one pass stay this size however large the scan.  Blocks of
+#: 2**14 to 2**20 took about the same time at 10^6 and 10^7, but 2**20 raised
+#: the peak RSS of `pollock 1000000 --witnesses` from 19 to 26 MB.
 WITNESS_BLOCK = 1 << 16
-
-
-def _pair_largest(values: list[int], limit: int) -> memoryview:
-    """For every pair sum v + w <= limit, 1 + the pool index of the largest
-    term w of such a pair; 0 where no pair sums to the index.
-
-    Pairs are written v descending, so the pair left for a sum has the
-    smallest v, and its w is the value that a largest-first probe of a
-    remainder at layer 2 takes.  'H' holds the index of every pool up to
-    the scan ceiling, which has about 2,500 values.
-    """
-    largest = memoryview(bytearray(2 * (limit + 1))).cast("H")
-    for i in range(bisect_right(values, limit // 2) - 1, -1, -1):
-        v = values[i]
-        for j in range(i, bisect_right(values, limit - v)):
-            largest[v + values[j]] = j + 1
-    return largest
-
 
 #: Per bit b, a table from "0"/"1" to the byte 0/2**b, which spreads one
 #: bitplane of pool indices into byte lanes.
@@ -441,71 +422,70 @@ _LANE_BIT = [bytes.maketrans(b"01", bytes([0, 1 << b])) for b in range(8)]
 
 
 def _first_terms(
-    lo: int, hi: int, layer_bytes: list[bytes], values: list[int]
+    layer_bytes: list[bytes], values: list[int], limit: int
 ) -> memoryview:
-    """1 + the pool index of the first term of every m in [lo, hi) whose
-    depth is 3, at index m - lo; 0 for every other m.
+    """F over [0, limit]: F[m] is 1 + the pool index of the largest value v
+    such that m - v is in the layer below m's depth; 0 where no layer holds m.
 
-    The first term is the largest pool value v that leaves a remainder at
-    layer 2.  One pass per value, largest first, finds it for the whole
-    block: the targets still open are T, the hits are T & (L2 << v), and
-    each hit takes v and leaves T.  A pass reads only the bytes of layer 2
-    under the open targets.  Its hits are not read out bit by bit: they are
-    ORed into one bitplane per bit of the index, and at the end each plane
-    is spread into byte lanes (its binary text, translated) and the lanes
-    are ORed into the table.
+    Such an m - v has depth exactly depth(m) - 1, so F serves every step of
+    a walk.  The table is filled one block of targets at a time, one pass
+    per layer k and pool value, largest value first: the targets of depth k
+    still open are T, the hits are T & (L[k-1] << v), and each hit takes v
+    and leaves T.  A pass reads only the bytes of layer k - 1 under the open
+    targets.  Its hits are not read out bit by bit: they are ORed into one
+    bitplane per bit of the index, and at the end of the block each plane is
+    spread into byte lanes (its binary text, translated) and the lanes are
+    written into F.  'H' holds the index of every pool up to the scan
+    ceiling, which has about 2,500 values.
     """
-    span = hi - lo
-    lanes = bytearray(2 * span)
-    if len(layer_bytes) < 4:
-        return memoryview(lanes).cast("H")
-    below, layer = layer_bytes[2], layer_bytes[3]
-    a, b = lo >> 3, ((hi - 1) >> 3) + 1
-    open_ = int.from_bytes(layer[a:b], "little") & ~int.from_bytes(below[a:b], "little")
-    open_ = (open_ >> (lo & 7)) & ((1 << span) - 1)
-    planes = [0] * 16
-    for i in range(bisect_right(values, hi - 1) - 1, -1, -1):
-        if not open_:
-            break
-        # bit j of the window is bit s + j of layer 2, up to the last open target
-        s = lo - values[i]
-        top = s + open_.bit_length()
-        if top <= 0:
-            continue
-        end = ((top - 1) >> 3) + 1
-        if s >= 0:
-            window = int.from_bytes(below[s >> 3 : end], "little") >> (s & 7)
-        else:
-            window = int.from_bytes(below[:end], "little") << -s
-        hits = open_ & window
-        if hits:
-            open_ ^= hits
-            for bit in range((i + 1).bit_length()):
-                if (i + 1) >> bit & 1:
-                    planes[bit] |= hits
-    if open_:
-        m = lo + (open_ & -open_).bit_length() - 1
-        raise RuntimeError(f"no predecessor for {m} at layer 3; masks corrupt")
+    table = bytearray(2 * (limit + 1))
     # the low byte of a native 16-bit lane comes first on a little-endian host
-    for half, offset in enumerate((0, 1) if sys.byteorder == "little" else (1, 0)):
-        acc = 0
-        for bit, translate in enumerate(_LANE_BIT):
-            plane = planes[8 * half + bit]
-            if plane:
-                # the text is most significant bit first, so read it big-endian
-                text = format(plane, f"0{span}b").encode().translate(translate)
-                acc |= int.from_bytes(text, "big")
-        lanes[offset::2] = acc.to_bytes(span, "little")
-    return memoryview(lanes).cast("H")
-
-
-def _depth(m: int, layer_bytes: list[bytes]) -> int:
-    """The first layer that holds m; len(layer_bytes) if none does."""
-    byte, bit = m >> 3, m & 7
-    depth = 1
-    while depth < len(layer_bytes) and not layer_bytes[depth][byte] >> bit & 1:
-        depth += 1
-    return depth
+    offsets = (0, 1) if sys.byteorder == "little" else (1, 0)
+    for lo in range(0, limit + 1, WITNESS_BLOCK):
+        hi = min(lo + WITNESS_BLOCK, limit + 1)
+        span = hi - lo
+        a, b = lo >> 3, ((hi - 1) >> 3) + 1
+        planes = [0] * 16
+        for k in range(1, len(layer_bytes)):
+            below = layer_bytes[k - 1]
+            open_ = int.from_bytes(layer_bytes[k][a:b], "little")
+            open_ &= ~int.from_bytes(below[a:b], "little")
+            open_ = (open_ >> (lo & 7)) & ((1 << span) - 1)
+            for i in range(bisect_right(values, hi - 1) - 1, -1, -1):
+                if not open_:
+                    break
+                # bit j of the window is bit s + j of layer k - 1, up to the
+                # last open target
+                s = lo - values[i]
+                top = s + open_.bit_length()
+                if top <= 0:
+                    continue
+                end = ((top - 1) >> 3) + 1
+                if s >= 0:
+                    window = int.from_bytes(below[s >> 3 : end], "little") >> (s & 7)
+                else:
+                    window = int.from_bytes(below[:end], "little") << -s
+                hits = open_ & window
+                if hits:
+                    open_ ^= hits
+                    for bit in range((i + 1).bit_length()):
+                        if (i + 1) >> bit & 1:
+                            planes[bit] |= hits
+            if open_:
+                m = lo + (open_ & -open_).bit_length() - 1
+                raise RuntimeError(
+                    f"no predecessor for {m} at layer {k}; masks corrupt"
+                )
+        for half, offset in enumerate(offsets):
+            acc = 0
+            for bit, translate in enumerate(_LANE_BIT):
+                plane = planes[8 * half + bit]
+                if plane:
+                    # the text is most significant bit first, so read it big-endian
+                    text = format(plane, f"0{span}b").encode().translate(translate)
+                    acc |= int.from_bytes(text, "big")
+            table[2 * lo + offset : 2 * hi : 2] = acc.to_bytes(span, "little")
+    return memoryview(table).cast("H")
 
 
 def _witnesses(
@@ -523,11 +503,10 @@ def _witnesses(
     `limit`.  A target's depth is the first layer that holds it.  Its terms
     come from walking back through the layers, each step taking the largest
     pool value that leaves a remainder in the layer below.  With repeats
-    that choice always completes: a remainder at layer 2 is one lookup in
-    the pair table, a target at depth 3 takes its first term from the
-    block's bulk pass (_first_terms), and only the steps of deeper targets
-    probe pool values.  With distinct values a choice can strand the rest,
-    so the walk is the depth-first _strict_search, which backs up past it.
+    that choice always completes, and every step is one lookup in the
+    first-term table (_first_terms) over [0, limit].  With distinct values
+    a choice can strand the rest, so the walk is the depth-first
+    _strict_search, which backs up past it.
     """
     layer_bytes = [_mask_bytes(mask, limit) for mask in masks]
     built = len(masks) - 1
@@ -536,7 +515,9 @@ def _witnesses(
     if strict_distinct:
         search = _strict_search(values, layer_bytes)
         for m in range(lo, hi):
-            depth = _depth(m, layer_bytes)
+            depth = 1
+            while depth <= built and not layer_bytes[depth][m >> 3] >> (m & 7) & 1:
+                depth += 1
             if depth > built:
                 continue
             terms = search(m, depth, 0)
@@ -544,44 +525,32 @@ def _witnesses(
                 raise RuntimeError(f"strict recovery failed for {m}; masks corrupt")
             yield m, tuple(terms)
         return
-    pairs = _pair_largest(values, limit) if built >= 2 else None
-    # the tables hold 1 + a pool index, so that 0 can mean "no such term"
+    first = _first_terms(layer_bytes, values, limit)
+    del layer_bytes  # from here the walk reads only the table
+    # the table holds 1 + a pool index, so that 0 can mean "unreached"
     value_at = [0, *values]
-    for start in range(lo, hi, WITNESS_BLOCK):
-        stop = min(start + WITNESS_BLOCK, hi)
-        first = _first_terms(start, stop, layer_bytes, values)
-        for m, i in zip(range(start, stop), first):
-            if i:
-                v = value_at[i]
-                remaining = m - v
-            else:
-                depth = _depth(m, layer_bytes)
-                if depth > built:
-                    continue
-                if depth == 1:
-                    yield m, (m,)
-                    continue
-                terms = []
-                remaining = m
-                for k in range(depth, 2, -1):
-                    previous = layer_bytes[k - 1]
-                    for j in range(bisect_right(values, remaining) - 1, -1, -1):
-                        d = remaining - values[j]
-                        if previous[d >> 3] >> (d & 7) & 1:
-                            terms.append(values[j])
-                            remaining = d
-                            break
-                    else:
-                        raise RuntimeError(
-                            f"no predecessor for {remaining} at layer {k}; "
-                            "masks corrupt"
-                        )
-            w = value_at[pairs[remaining]]
-            if not w:
-                raise RuntimeError(
-                    f"no predecessor for {remaining} at layer 2; masks corrupt"
-                )
-            if i:
-                yield m, (v, w, remaining - w)
-            else:
-                yield m, (*terms, w, remaining - w)
+    # depths 1 to 3 are written out: one loop over every step, building a
+    # list per target, took 1.6 times as long over [1, 10^6]
+    for m, i in zip(range(lo, hi), first[lo:hi]):
+        if not i:
+            continue
+        v = value_at[i]
+        r = m - v
+        if not r:
+            yield m, (v,)
+            continue
+        w = value_at[first[r]]
+        r -= w
+        if not r:
+            yield m, (v, w)
+            continue
+        x = value_at[first[r]]
+        if x == r:
+            yield m, (v, w, x)
+            continue
+        terms = [v, w]
+        while r:
+            x = value_at[first[r]]
+            terms.append(x)
+            r -= x
+        yield m, tuple(terms)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from platonics import (
+    DEFAULT_SCAN_CEILING,
     PlatonicKind,
     PoolEntry,
     Witness,
@@ -66,6 +67,13 @@ def test_pool_provenance_merging():
 def test_pool_validation():
     with pytest.raises(ValueError):
         platonic_pool(0)
+
+
+def test_pool_refuses_over_the_ceiling():
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="ceiling"):
+        platonic_pool(DEFAULT_SCAN_CEILING + 1)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_min_term_trivial():
@@ -257,8 +265,10 @@ def test_scan_validation_and_ceiling():
         scan_conjecture(0)
     with pytest.raises(ValueError):
         scan_conjecture(100, max_terms=0)
-    with pytest.raises(ValueError):
-        scan_conjecture(10_000, ceiling=100)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="ceiling"):
+        scan_conjecture(DEFAULT_SCAN_CEILING + 1)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_four_term_integers_exist():
@@ -317,6 +327,30 @@ def test_strict_recovery_never_reuses_a_value():
         assert witness.term_values == terms
 
 
+class ForwardOnly(bytes):
+    """Layer bytes that refuse a negative index rather than wrap round."""
+
+    def __getitem__(self, index):
+        if index < 0:
+            raise IndexError(f"layer byte {index}: a value above the remainder")
+        return super().__getitem__(index)
+
+
+def test_strict_search_tries_no_value_above_the_remainder():
+    # a value v above what remains leaves d < 0, and below[d >> 3] reads a
+    # byte from the end of the layer; here 7 is the top bit of the only layer
+    # byte, so trying 7 for 6 (d = -1) would pass the bit test and enter a
+    # branch.  That branch cannot complete, so only the probe shows the slip
+    values = [1, 2, 4, 7]
+    masks = pollock._layer_masks(values, 7, 4, True)
+    search = pollock._strict_search(
+        values, [ForwardOnly(pollock._mask_bytes(mask, 7)) for mask in masks]
+    )
+    expected = {1: (1,), 2: (2,), 3: (2, 1), 4: (4,), 5: (4, 1), 6: (4, 2), 7: (7,)}
+    for m, terms in expected.items():
+        assert tuple(search(m, len(terms), 0)) == terms
+
+
 def with_bit(masks, bit, layer):
     """Layer masks that also claim `bit` from `layer` up, as a corrupt build might."""
     return [mask | 1 << bit if k >= layer else mask for k, mask in enumerate(masks)]
@@ -325,13 +359,12 @@ def with_bit(masks, bit, layer):
 @pytest.mark.parametrize(
     "claims, lo, message",
     [
-        # a target at depth 2 whose pair entry is empty
+        # a target of depth 2, 3 or 4 that no pass of its layer's fill hits
         ([(6, 2)], 1, "no predecessor for 6 at layer 2"),
-        # a depth-3 target that no pass of the bulk pass hits
         ([(7, 3)], 1, "no predecessor for 7 at layer 3"),
-        # a deeper target whose largest-first probe finds nothing
         ([(8, 4)], 1, "no predecessor for 8 at layer 4"),
-        # 7 = 5 + 2 passes the bulk pass, then 2 has no pair entry
+        # 7 = 5 + 2 passes layer 3, but the table also covers the targets
+        # below the stream's start, and 2 fails at layer 2
         ([(2, 2), (7, 3)], 7, "no predecessor for 2 at layer 2"),
     ],
 )

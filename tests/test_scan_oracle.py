@@ -148,18 +148,17 @@ def test_witness_blocks_join_up(block, monkeypatch):
     # blocks that are not whole bytes put block edges inside layer bytes
     monkeypatch.setattr(pollock, "WITNESS_BLOCK", block)
     n = ORACLE_LIMIT
-    found = list(pollock._scan_terms(n, 5, False)[2])
-    assert found == [(t, PATHS[t]) for t in range(1, n + 1) if DEPTH[t] <= 5]
-    # the bulk pass gives the first term of every depth-3 target and no other;
-    # the walk would probe for a target it missed, so check its table too
+    # the table names the first term of every reachable target at every
+    # depth and nothing else; every step of the walk is one of its entries,
+    # and a walk that meets an empty entry never ends, so check it first
     values = platonic_values_upto(n)
     masks = pollock._layer_masks(values, n, 5, False)
     layer_bytes = [pollock._mask_bytes(mask, n) for mask in masks]
-    for lo in range(1, n + 1, block):
-        hi = min(lo + block, n + 1)
-        first = pollock._first_terms(lo, hi, layer_bytes, values)
-        got = [values[i - 1] if i else None for i in first]
-        assert got == [PATHS[t][0] if DEPTH[t] == 3 else None for t in range(lo, hi)]
+    first = pollock._first_terms(layer_bytes, values, n)
+    got = [values[i - 1] if i else None for i in first]
+    assert got == [PATHS[t][0] if 1 <= DEPTH[t] <= 5 else None for t in range(n + 1)]
+    found = list(pollock._scan_terms(n, 5, False)[2])
+    assert found == [(t, PATHS[t]) for t in range(1, n + 1) if DEPTH[t] <= 5]
 
 
 def test_scan_million_pinned():
