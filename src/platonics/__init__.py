@@ -49,6 +49,8 @@ from .representations import (
     represent_tetrahedral,
 )
 from .sequences import (
+    DIFFERENCE_MAX_ROWS,
+    SEQUENCE_MAX_INDEX,
     DifferenceTable,
     PlatonicKind,
     RECURRENCE_COEFFICIENTS,
@@ -66,6 +68,7 @@ __all__ = [
     "COMBINATION_COEFFICIENTS",
     "COMBINATION_MODULUS",
     "DEFAULT_SCAN_CEILING",
+    "DIFFERENCE_MAX_ROWS",
     "DifferenceTable",
     "IdentityCheck",
     "NotDivisibleError",
@@ -78,6 +81,7 @@ __all__ = [
     "RECURRENCE_COEFFICIENTS",
     "Representation",
     "ResidueSequence",
+    "SEQUENCE_MAX_INDEX",
     "ScanReport",
     "Sequence",
     "THIRD_DIFFERENCE_CONSTANTS",

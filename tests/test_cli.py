@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from platonics import (
+    DIFFERENCE_MAX_ROWS,
+    SEQUENCE_MAX_INDEX,
     PlatonicKind,
     Representation,
     cli,
@@ -174,6 +176,40 @@ def test_represent_json_past_the_default_digit_limit(kind, target, capsys):
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, ceiling",
+    [
+        (["gen", "cube", f"1..{SEQUENCE_MAX_INDEX + 1}"], SEQUENCE_MAX_INDEX),
+        (["difftable", "cube", str(DIFFERENCE_MAX_ROWS + 1)], DIFFERENCE_MAX_ROWS),
+        (
+            ["verify-identities", "all", f"1..{cli.IDENTITY_MAX_INDEX + 1}"],
+            cli.IDENTITY_MAX_INDEX,
+        ),
+    ],
+    ids=["gen", "difftable", "verify-identities"],
+)
+def test_sizes_over_the_ceiling_exit_2(argv, ceiling, capsys):
+    start = time.perf_counter()
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"exceeds the ceiling {ceiling}" in captured.err
+
+
+def test_index_ceilings_are_inclusive(capsys):
+    top = SEQUENCE_MAX_INDEX
+    code, out, _ = run_cli(["gen", "cube", f"{top}..{top}", "--format", "csv"], capsys)
+    assert (code, out) == (0, f"n,value\n{top},{top**3}\n")
+    top = cli.IDENTITY_MAX_INDEX
+    code, out, _ = run_cli(
+        ["verify-identities", "cube", f"{top}..{top}", "--format", "csv"], capsys
+    )
+    assert code == 0
+    assert out.count("\ncube,") == 4
 
 
 def test_represent_target_over_the_ceiling_exits_2(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from array import array
 
 import pytest
 
@@ -377,6 +378,27 @@ def test_corrupt_masks_raise(claims, lo, message):
         masks = with_bit(masks, bit, layer)
     with pytest.raises(RuntimeError, match=f"{message}; masks corrupt"):
         list(pollock._witnesses(lo, 21, 20, masks, values, False))
+
+
+def test_walk_stops_on_a_corrupt_table(monkeypatch):
+    # with the single value 5, F names 5 at 5, 10, 15 and 20; with the entry
+    # of 10 cleared, the walk of 15 keeps the remainder 10 however many
+    # rounds it runs, and must stop after as many terms as there are layers
+    real = pollock._first_terms
+
+    def corrupt(*args):
+        table = array("H", real(*args))
+        assert table[10] == 1
+        table[10] = 0
+        return table
+
+    monkeypatch.setattr(pollock, "_first_terms", corrupt)
+    masks = pollock._layer_masks([5], 20, 4, False)
+    started = time.perf_counter()
+    message = "walk of 15 leaves 10 after 4 terms; masks corrupt"
+    with pytest.raises(RuntimeError, match=message):
+        list(pollock._witnesses(1, 21, 20, masks, [5], False))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_corrupt_strict_masks_raise():

@@ -2,10 +2,13 @@
 
 import math
 import random
+import time
 
 import pytest
 
 from platonics import (
+    DIFFERENCE_MAX_ROWS,
+    SEQUENCE_MAX_INDEX,
     PlatonicKind,
     difference_table,
     forward_difference,
@@ -70,6 +73,21 @@ def test_recurrence_examples():
 def test_recurrence_count_validation():
     with pytest.raises(ValueError):
         platonic_values_by_recurrence(PlatonicKind.CUBE, 0)
+
+
+def test_sizes_over_the_ceiling_rejected():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"ceiling {SEQUENCE_MAX_INDEX}"):
+        platonic_values_by_recurrence(PlatonicKind.CUBE, SEQUENCE_MAX_INDEX + 1)
+    with pytest.raises(ValueError, match=f"ceiling {DIFFERENCE_MAX_ROWS}"):
+        difference_table(PlatonicKind.CUBE, DIFFERENCE_MAX_ROWS + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_difference_rows_ceiling_is_inclusive():
+    table = difference_table(PlatonicKind.CUBE, DIFFERENCE_MAX_ROWS)
+    assert table.orders[0][-1] == DIFFERENCE_MAX_ROWS**3
+    assert set(table.orders[4]) == {0}
 
 
 def test_forward_difference_examples():
