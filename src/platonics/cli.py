@@ -289,14 +289,15 @@ def _witness_text(
     """The witness lines of each block of `_scan_terms`, joined into one
     string per block.
 
-    json lines are `json.dumps(w.to_json_dict())` of each Witness and table
-    lines read `m = v + w + ...`.  Every term's text is rendered once per
-    pool index, as a first term and as a later one, with "" at index 0
-    (past a witness's last term).  A block's lines are laid out in one list
-    of pieces, one stride per line, and each kind of piece goes in by one
-    slice assignment over the whole block: the head, str(m), the min-terms
-    part (json only; the term count is the columns less the row's zeros),
-    the term columns and the line end.
+    json lines are `json.dumps(w.to_json_dict())` of each Witness, written
+    directly since every value is a digit string that needs no escaping,
+    and table lines read `m = v + w + ...`.  Every term's text is rendered
+    once per pool index, as a first term and as a later one, with "" at
+    index 0 (past a witness's last term).  A block's lines are laid out in
+    one list of pieces, one stride per line, and each kind of piece goes in
+    by one slice assignment over the whole block: the head, str(m), the
+    min-terms part (json only; the term count is the columns less the row's
+    zeros), the term columns and the line end.
     """
     json_lines = fmt == "json"
     if json_lines:
@@ -318,8 +319,8 @@ def _witness_text(
                 f'", "min_terms": {width - zeros}, "terms": ['
                 for zeros in range(width)
             ]
-            zeros = map(countOf, zip(*columns), repeat(0))
-            pieces[2::stride] = _gather(counted, list(zeros))
+            row_zeros = map(countOf, zip(*columns), repeat(0))
+            pieces[2::stride] = _gather(counted, list(row_zeros))
         pieces[3::stride] = _gather(first, columns[0])
         for j in range(1, width):
             pieces[3 + j :: stride] = _gather(later, columns[j])
