@@ -22,14 +22,20 @@ import functools
 import json
 import os
 import sys
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, repeat
-from operator import countOf
+from operator import add, mod, truth
 
 from .identities import IdentityCheck, identity_residual
 from .periodicity import PeriodConsistencyError, PeriodReport, check_period_range
 from .pollock import ScanReport, _gather, _scan_terms, _WitnessBlock
-from .representations import NotDivisibleError, Representation, represent_multiple
+from .representations import (
+    REPRESENT_MAX_DIGITS,
+    NotDivisibleError,
+    Representation,
+    represent_multiple,
+)
 from .sequences import (
     SEQUENCE_MAX_INDEX,
     DifferenceTable,
@@ -48,8 +54,6 @@ EXIT_COUNTEREXAMPLE = 5
 FORMATS = ("table", "json", "csv")
 KIND_NAMES = tuple(kind.value for kind in PlatonicKind)
 
-#: Largest `represent` target, in decimal digits.
-REPRESENT_MAX_DIGITS = 10_000
 # Every value of a representation of a D-digit target is below 10**(3*D).
 INT_TEXT_DIGITS = 3 * REPRESENT_MAX_DIGITS
 
@@ -295,9 +299,14 @@ def _witness_text(
     once per pool index, as a first term and as a later one, with "" at
     index 0 (past a witness's last term).  A block's lines are laid out in
     one list of pieces, one stride per line, and each kind of piece goes in
-    by one slice assignment over the whole block: the head, str(m), the
-    min-terms part (json only; the term count is the columns less the row's
-    zeros), the term columns and the line end.
+    by slice assignment: the head, m's last three digits, the min-terms
+    part (json only), the term columns and the line end.  m is not passed
+    to str.  The targets are cut (by bisect) into runs that share
+    q = m // 1000; for q > 0 the run's head carries str(q), rendered once,
+    and m's piece is m % 1000 as three digits from a table, one slice of
+    it where the run's targets are consecutive.  Only the targets below
+    1000 (q = 0) take str(m), once per stream.  A row's term count is 1
+    plus its nonzero entries past the first column.
     """
     json_lines = fmt == "json"
     if json_lines:
@@ -308,19 +317,37 @@ def _witness_text(
         head, after_m, end = "", " = ", "\n"
         first = ["", *map(str, values)]
         later = ["", *[f" + {v}" for v in values]]
+    padded = [f"{r:03d}" for r in range(1000)]
     for targets, columns in blocks:
         width = len(columns)
         stride = width + 4
-        pieces = [head, "", after_m, *[""] * width, end] * len(targets)
-        pieces[1::stride] = map(str, targets)
+        count = len(targets)
+        pieces = [head, "", after_m, *[""] * width, end] * count
+        # targets[lo:hi] is a run that shares q
+        lo = 0
+        while lo < count:
+            q, r = divmod(targets[lo], 1000)
+            hi = bisect_left(targets, 1000 * (q + 1), lo)
+            if not q:
+                pieces[1 : hi * stride : stride] = map(str, targets[:hi])
+            else:
+                pieces[lo * stride : hi * stride : stride] = [head + str(q)] * (hi - lo)
+                if targets[hi - 1] - targets[lo] == hi - 1 - lo:
+                    # the run's targets are consecutive, so their keys are too
+                    low = padded[r : r + hi - lo]
+                else:
+                    low = _gather(padded, list(map(mod, targets[lo:hi], repeat(1000))))
+                pieces[lo * stride + 1 : hi * stride : stride] = low
+            lo = hi
         if json_lines:
-            # the text after m for each count of zeros in a target's row
+            # the text after m for each count of terms past the first
             counted = [
-                f'", "min_terms": {width - zeros}, "terms": ['
-                for zeros in range(width)
+                f'", "min_terms": {n + 1}, "terms": [' for n in range(width)
             ]
-            row_zeros = map(countOf, zip(*columns), repeat(0))
-            pieces[2::stride] = _gather(counted, list(row_zeros))
+            past = repeat(0, count)
+            for column in columns[1:]:
+                past = map(add, past, map(truth, column))
+            pieces[2::stride] = _gather(counted, list(past))
         pieces[3::stride] = _gather(first, columns[0])
         for j in range(1, width):
             pieces[3 + j :: stride] = _gather(later, columns[j])

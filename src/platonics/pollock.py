@@ -427,50 +427,65 @@ WITNESS_BLOCK = 1 << 16
 _LANE_BIT = [bytes.maketrans(b"01", bytes([0, 1 << b])) for b in range(8)]
 
 
+def _block_ints(layer: bytes, limit: int) -> list[int]:
+    """The bits 0..limit of a layer's bytes as ints of WITNESS_BLOCK bits;
+    entry j holds bits j * WITNESS_BLOCK up."""
+    width = WITNESS_BLOCK
+    low = (1 << width) - 1
+    return [
+        int.from_bytes(layer[lo >> 3 : ((lo + width - 1) >> 3) + 1], "little")
+        >> (lo & 7)
+        & low
+        for lo in range(0, limit + 1, width)
+    ]
+
+
 def _first_terms(
-    layer_bytes: list[bytes], values: list[int], limit: int
+    layer_bytes: Iterable[bytes], values: list[int], limit: int
 ) -> memoryview:
     """F over [0, limit]: F[m] is 1 + the pool index of the largest value v
     such that m - v is in the layer below m's depth; 0 where no layer holds m.
 
     Such an m - v has depth exactly depth(m) - 1, so F serves every step of
-    a walk.  The table is filled one block of targets at a time, one pass
-    per layer k and pool value, largest value first: the targets of depth k
-    still open are T, the hits are T & (L[k-1] << v), and each hit takes v
-    and leaves T.  A pass reads only the bytes of layer k - 1 under the open
-    targets.  Its hits are not read out bit by bit: they are ORed into one
-    bitplane per bit of the index, and at the end of the block each plane is
-    spread into byte lanes (its binary text, translated) and the lanes are
-    written into F.  'H' holds the index of every pool up to the scan
-    ceiling, which has about 2,500 values.
+    a walk.  Each layer is first cut into ints of WITNESS_BLOCK bits
+    (_block_ints); a layer's bytes can go once it is cut, so pass them
+    lazily to keep one layer's bytes at a time.  The table is then filled
+    one block of targets at a time, one pass per layer k and pool value,
+    largest value first: the targets of depth k still open are T, the hits
+    are T & (L[k-1] << v), and each hit takes v and leaves T.  A pass's
+    window of layer k - 1 starts at a bit offset s and is two shifts and an
+    OR of the block ints that hold it.  The hits are not read out bit by
+    bit: they are ORed into one bitplane per bit of the index, and at the
+    end of the block each plane is spread into byte lanes (its binary text,
+    translated) and the lanes are written into F.  'H' holds the index of
+    every pool up to the scan ceiling, which has about 2,500 values.
     """
+    width = WITNESS_BLOCK
+    layers = [_block_ints(layer, limit) for layer in layer_bytes]
     table = bytearray(2 * (limit + 1))
     # the low byte of a native 16-bit lane comes first on a little-endian host
     offsets = (0, 1) if sys.byteorder == "little" else (1, 0)
-    for lo in range(0, limit + 1, WITNESS_BLOCK):
-        hi = min(lo + WITNESS_BLOCK, limit + 1)
+    for j, lo in enumerate(range(0, limit + 1, width)):
+        hi = min(lo + width, limit + 1)
         span = hi - lo
-        a, b = lo >> 3, ((hi - 1) >> 3) + 1
         planes = [0] * 16
-        for k in range(1, len(layer_bytes)):
-            below = layer_bytes[k - 1]
-            open_ = int.from_bytes(layer_bytes[k][a:b], "little")
-            open_ &= ~int.from_bytes(below[a:b], "little")
-            open_ = (open_ >> (lo & 7)) & ((1 << span) - 1)
+        for k in range(1, len(layers)):
+            below = layers[k - 1]
+            open_ = layers[k][j] & ~below[j]
             for i in range(bisect_right(values, hi - 1) - 1, -1, -1):
                 if not open_:
                     break
-                # bit j of the window is bit s + j of layer k - 1, up to the
-                # last open target
+                # bit t of the window is bit s + t of layer k - 1; a value
+                # above every open target can hit none of them.  s < lo, so
+                # the window never reaches past block j
                 s = lo - values[i]
-                top = s + open_.bit_length()
-                if top <= 0:
+                if s + open_.bit_length() <= 0:
                     continue
-                end = ((top - 1) >> 3) + 1
                 if s >= 0:
-                    window = int.from_bytes(below[s >> 3 : end], "little") >> (s & 7)
+                    q, r = divmod(s, width)
+                    window = below[q] >> r | below[q + 1] << (width - r)
                 else:
-                    window = int.from_bytes(below[:end], "little") << -s
+                    window = below[0] << -s
                 hits = open_ & window
                 if hits:
                     open_ ^= hits
@@ -532,16 +547,21 @@ def _witnesses(
     that choice always completes, and every step is one lookup in the
     first-term table (_first_terms) over [0, limit]: the first column is a
     slice of the table, and each later one is a round of lookups at the
-    block's remainders, until all of them are 0.  A target left with a
-    remainder after as many terms as there are layers means a corrupt
-    table.  With distinct values a choice can strand the rest, so the walk
-    is the depth-first _strict_search per target, which backs up past it.
+    block's remainders.  A round whose term values equal the remainders
+    leaves all of them 0, so the block ends there without subtracting.
+    The table must name a first term for exactly the targets that the
+    deepest layer holds, which each block checks by counting both; a
+    target left with a remainder after as many terms as there are layers
+    also means a corrupt table.  With distinct values a choice can strand
+    the rest, so the walk is the depth-first _strict_search per target,
+    which backs up past it.
     """
-    layer_bytes = [_mask_bytes(mask, limit) for mask in masks]
     built = len(masks) - 1
-    # the walk reads only the bytes; a stream's frame would hold both to its end
-    del masks
     if strict_distinct:
+        layer_bytes = [_mask_bytes(mask, limit) for mask in masks]
+        # the search reads only the bytes; a stream's frame would hold both
+        # to its end
+        del masks
         search = _strict_search(values, layer_bytes)
         index_of = {v: i for i, v in enumerate(values, 1)}
         for start in range(lo, hi, _WALK_BLOCK):
@@ -562,30 +582,47 @@ def _witnesses(
             if targets:
                 yield targets, list(zip_longest(*rows, fillvalue=0))
         return
+    # the deepest layer holds every target the walk must yield
+    reached = _mask_bytes(masks[built], limit)
+    layer_bytes = (_mask_bytes(mask, limit) for mask in masks)
+    # once _first_terms has cut the layers, nothing holds the masks, so they
+    # are gone before it allocates the table
+    del masks
     first = _first_terms(layer_bytes, values, limit)
-    del layer_bytes  # from here the walk reads only the table
     # the table holds 1 + a pool index, so that 0 can mean "unreached"
     value_at = [0, *values]
     for start in range(lo, hi, _WALK_BLOCK):
         stop = min(start + _WALK_BLOCK, hi)
         column = first[start:stop].tolist()
         targets = list(compress(range(start, stop), column))
+        window = int.from_bytes(reached[start >> 3 : ((stop - 1) >> 3) + 1], "little")
+        window = window >> (start & 7) & ((1 << (stop - start)) - 1)
+        if len(targets) != window.bit_count():
+            m = next(
+                m
+                for m in range(start, stop)
+                if bool(first[m]) != bool(reached[m >> 3] >> (m & 7) & 1)
+            )
+            raise RuntimeError(
+                f"first-term table and layer {built} disagree at {m}; masks corrupt"
+            )
         if not targets:
             continue
         column = list(filter(None, column))
         columns = [column]
-        rest = list(map(sub, targets, _gather(value_at, column)))
-        # the first term was one round; a target has at most `built` terms
-        rounds = built - 1
-        while any(rest):
-            if not rounds:
-                t = next(compress(range(len(rest)), rest))
+        rest = tuple(targets)
+        while True:
+            taken = _gather(value_at, column)
+            # equal only when every remainder becomes 0: the block is done
+            if taken == rest:
+                break
+            if len(columns) == built:
+                t = next(t for t, (r, v) in enumerate(zip(rest, taken)) if r != v)
                 raise RuntimeError(
-                    f"walk of {targets[t]} leaves {rest[t]} after {built} terms;"
-                    " masks corrupt"
+                    f"walk of {targets[t]} leaves {rest[t] - taken[t]} after"
+                    f" {built} terms; masks corrupt"
                 )
-            rounds -= 1
+            rest = tuple(map(sub, rest, taken))
             column = _gather(first, rest)
             columns.append(column)
-            rest = list(map(sub, rest, _gather(value_at, column)))
         yield targets, columns

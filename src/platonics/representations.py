@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 from .sequences import PlatonicKind, platonic_value
 
+#: Largest target of a representation, in decimal digits: represent_multiple
+#: refuses |target| >= 10**REPRESENT_MAX_DIGITS.
+REPRESENT_MAX_DIGITS = 10_000
+_REPRESENT_BOUND = 10**REPRESENT_MAX_DIGITS
+
 #: Coefficients applied to values at indices base, base+1, base+2, base+3.
 COMBINATION_COEFFICIENTS = {
     PlatonicKind.TETRAHEDRAL: (3, -8, 7, -2),
@@ -96,8 +101,13 @@ def represent_multiple(kind: PlatonicKind, target: int) -> Representation:
 
     The base index is |target| / M; for negative targets all four
     coefficients are negated, which keeps every index in the domain where
-    the combination identity is established.
+    the combination identity is established.  |target| must have at most
+    REPRESENT_MAX_DIGITS digits.
     """
+    if abs(target) >= _REPRESENT_BOUND:
+        raise ValueError(
+            f"target has more than {REPRESENT_MAX_DIGITS} digits, the ceiling"
+        )
     modulus = COMBINATION_MODULUS[kind]
     base, remainder = divmod(abs(target), modulus)
     if remainder:

@@ -381,24 +381,33 @@ def test_corrupt_masks_raise(claims, lo, message):
 
 
 def test_walk_stops_on_a_corrupt_table(monkeypatch):
-    # with the single value 5, F names 5 at 5, 10, 15 and 20; with the entry
-    # of 10 cleared, the walk of 15 keeps the remainder 10 however many
-    # rounds it runs, and must stop after as many terms as there are layers
+    # with the single value 5, F names 5 at 5, 10, 15 and 20 and is 0 elsewhere
+    cases = [
+        # a stream over 10 would drop a target that the layers reach
+        (10, 0, 1, "first-term table and layer 4 disagree at 10"),
+        # a block whose only target is dropped must not be skipped as empty
+        (20, 0, 16, "first-term table and layer 4 disagree at 20"),
+        # nor may the table name a first term for a target no layer holds
+        (12, 1, 1, "first-term table and layer 4 disagree at 12"),
+        # past 10, the walk of 15 keeps the remainder 10 however many rounds
+        # it runs, and must stop after as many terms as there are layers
+        (10, 0, 11, "walk of 15 leaves 10 after 4 terms"),
+    ]
     real = pollock._first_terms
-
-    def corrupt(*args):
-        table = array("H", real(*args))
-        assert table[10] == 1
-        table[10] = 0
-        return table
-
-    monkeypatch.setattr(pollock, "_first_terms", corrupt)
     masks = pollock._layer_masks([5], 20, 4, False)
-    started = time.perf_counter()
-    message = "walk of 15 leaves 10 after 4 terms; masks corrupt"
-    with pytest.raises(RuntimeError, match=message):
-        list(pollock._witnesses(1, 21, 20, masks, [5], False))
-    assert time.perf_counter() - started < 1.0
+    for entry, value, lo, message in cases:
+
+        def corrupt(*args):
+            table = array("H", real(*args))
+            assert table[entry] == (entry % 5 == 0)
+            table[entry] = value
+            return table
+
+        monkeypatch.setattr(pollock, "_first_terms", corrupt)
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match=f"{message}; masks corrupt"):
+            list(pollock._witnesses(lo, 21, 20, masks, [5], False))
+        assert time.perf_counter() - started < 1.0
 
 
 def test_corrupt_strict_masks_raise():

@@ -1,10 +1,13 @@
 """Four-term combination representations: round trips and divisibility."""
 
+import time
+
 import pytest
 
 from platonics import (
     COMBINATION_COEFFICIENTS,
     COMBINATION_MODULUS,
+    REPRESENT_MAX_DIGITS,
     NotDivisibleError,
     PlatonicKind,
     Representation,
@@ -148,3 +151,25 @@ def test_json_dict_shape():
         "values": ["13244", "14190", "15180", "16215"],
         "target": "42",
     }
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_target_over_the_ceiling_is_refused(sign):
+    # the smallest target over the ceiling, and one that is a multiple of
+    # every modulus, so that only the ceiling can refuse it
+    for target in (10**REPRESENT_MAX_DIGITS, 81 * 10**REPRESENT_MAX_DIGITS):
+        for kind in PlatonicKind:
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match=f"more than {REPRESENT_MAX_DIGITS}"):
+                represent_multiple(kind, sign * target)
+            assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("kind", list(PlatonicKind))
+def test_largest_allowed_target_round_trips(kind):
+    modulus = COMBINATION_MODULUS[kind]
+    largest = (10**REPRESENT_MAX_DIGITS - 1) // modulus * modulus
+    for target in (largest, -largest):
+        rep = represent_multiple(kind, target)
+        assert rep.base_index == largest // modulus
+        assert evaluate_representation(rep) == target

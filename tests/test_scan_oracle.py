@@ -162,6 +162,16 @@ def cli_stdout(argv):
     return out.getvalue()
 
 
+def assert_cli_lines(n, max_terms, json_lines, table_lines):
+    """The CLI's witness lines in json and table, then the same report as
+    without --witnesses."""
+    argv = ["pollock", str(n), "--max-terms", str(max_terms)]
+    for fmt, lines in (("json", json_lines), ("table", table_lines)):
+        report = cli_stdout([*argv, "--format", fmt]).splitlines(True)
+        out = cli_stdout([*argv, "--witnesses", "--format", fmt]).splitlines(True)
+        assert first_difference(out, [*lines, *report]) is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=ORACLE_LIMIT),
@@ -186,15 +196,31 @@ def test_witnesses_follow_the_largest_first_path(n, max_terms):
         terms_text = " + ".join(str(v) for v in witness.term_values)
         table_lines.append(f"{witness.target} = {terms_text}\n")
     assert targets == [t for t in range(1, n + 1) if DEPTH[t] <= max_terms]
-    # the CLI's witness lines, then the same report as without --witnesses
-    argv = ["pollock", str(n), "--max-terms", str(max_terms)]
-    for fmt, lines in (("json", json_lines), ("table", table_lines)):
-        report = cli_stdout([*argv, "--format", fmt]).splitlines(True)
-        out = cli_stdout([*argv, "--witnesses", "--format", fmt]).splitlines(True)
-        assert first_difference(out, [*lines, *report]) is None
+    assert_cli_lines(n, max_terms, json_lines, table_lines)
     # a single target takes the same walk as the stream
     for m in {*first_of_depth.values(), *targets[-1:]}:
         assert min_term_decomposition(m, pool, max_terms).term_values == PATHS[m]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, 2500])
+def test_witness_text_at_any_walk_block(block, monkeypatch):
+    # m's text is cut at its thousands, and the runs of targets that share
+    # them meet the walk's blocks in every way: blocks of 1 and 7 cut a run
+    # into many blocks, blocks of 1000 end each run one target into the
+    # next (the range starts at 1), and blocks of 2500 hold whole runs
+    monkeypatch.setattr(pollock, "_WALK_BLOCK", block)
+    n = ORACLE_LIMIT
+    for max_terms in (1, 3, 5):
+        paths = [(t, PATHS[t]) for t in range(1, n + 1) if DEPTH[t] <= max_terms]
+        json_lines = [
+            json.dumps(
+                {"target": str(t), "min_terms": len(p), "terms": [str(v) for v in p]}
+            )
+            + "\n"
+            for t, p in paths
+        ]
+        table_lines = [f"{t} = {' + '.join(map(str, p))}\n" for t, p in paths]
+        assert_cli_lines(n, max_terms, json_lines, table_lines)
 
 
 def flatten(blocks, block, values):
