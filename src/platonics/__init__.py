@@ -19,12 +19,10 @@ from .periodicity import (
     PERIOD_MAX_MODULUS,
     PeriodConsistencyError,
     PeriodReport,
-    ResidueSequence,
     check_period_claim,
     check_period_range,
     closed_form_period,
     empirical_period,
-    residue_sequence,
 )
 from .pollock import (
     DEFAULT_SCAN_CEILING,
@@ -82,7 +80,6 @@ __all__ = [
     "RECURRENCE_COEFFICIENTS",
     "REPRESENT_MAX_DIGITS",
     "Representation",
-    "ResidueSequence",
     "SEQUENCE_MAX_INDEX",
     "ScanReport",
     "Sequence",
@@ -107,7 +104,6 @@ __all__ = [
     "platonic_values_by_recurrence",
     "represent_multiple",
     "represent_tetrahedral",
-    "residue_sequence",
     "scan_conjecture",
     "scan_with_witnesses",
     "verify_witness",

@@ -36,15 +36,6 @@ class PeriodConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ResidueSequence:
-    """Residues of one family's values modulo d, indices from 1."""
-
-    kind: PlatonicKind
-    modulus: int
-    residues: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PeriodReport:
     """Closed-form period next to the observed minimal period."""
 
@@ -88,15 +79,6 @@ def closed_form_period(kind: PlatonicKind, d: int) -> int:
         return d
     # Icosahedral and dodecahedral share the same case split.
     return 2 * d if d % 2 == 0 else d
-
-
-def residue_sequence(kind: PlatonicKind, d: int, count: int) -> ResidueSequence:
-    """Residues of the values at indices 1..count, reduced into [0, d)."""
-    _require_modulus(d)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    residues = tuple(platonic_value(kind, n) % d for n in range(1, count + 1))
-    return ResidueSequence(kind=kind, modulus=d, residues=residues)
 
 
 def _divisors(n: int) -> list[int]:

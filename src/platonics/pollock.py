@@ -18,14 +18,15 @@ layer is bit-identical to the plain shift-or over the whole pool.
 
 A witness is recovered by walking back through the layers, taking the
 largest pool value that leaves a remainder in the layer below.  One walk,
-_witnesses, serves the scans' streams and min_term_decomposition alike; it
-yields blocks of targets with their terms as pool indices, which the CLI
-renders a block at a time and the library unpacks into Witness objects.
-With repeats every step is one lookup in a single first-term table over
+_witnesses, serves both modes, the scans' streams and min_term_decomposition
+alike; it yields blocks of targets with their terms as pool indices, which
+the CLI renders a block at a time and the library unpacks into Witness
+objects.  Every step is one lookup in a single first-term table over
 [0, limit], filled by bulk passes per layer and pool value over blocks of
 targets, and a block is walked in rounds, each one lookup for all its
-targets at once, until every remainder is 0.  With distinct values it is
-a depth-first search per target that the layers prune.
+targets at once, until every remainder is 0.  With distinct values a
+block whose terms all strictly descend is done; any other block is
+rebuilt by a depth-first search per target that the layers prune.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress, zip_longest
-from operator import itemgetter, sub
+from operator import ge, itemgetter, sub
 
 from .sequences import PlatonicKind, platonic_value
 
@@ -446,19 +447,20 @@ def _first_terms(
     """F over [0, limit]: F[m] is 1 + the pool index of the largest value v
     such that m - v is in the layer below m's depth; 0 where no layer holds m.
 
-    Such an m - v has depth exactly depth(m) - 1, so F serves every step of
-    a walk.  Each layer is first cut into ints of WITNESS_BLOCK bits
-    (_block_ints); a layer's bytes can go once it is cut, so pass them
-    lazily to keep one layer's bytes at a time.  The table is then filled
-    one block of targets at a time, one pass per layer k and pool value,
-    largest value first: the targets of depth k still open are T, the hits
-    are T & (L[k-1] << v), and each hit takes v and leaves T.  A pass's
-    window of layer k - 1 starts at a bit offset s and is two shifts and an
-    OR of the block ints that hold it.  The hits are not read out bit by
-    bit: they are ORed into one bitplane per bit of the index, and at the
-    end of the block each plane is spread into byte lanes (its binary text,
-    translated) and the lanes are written into F.  'H' holds the index of
-    every pool up to the scan ceiling, which has about 2,500 values.
+    With repeats such an m - v has depth exactly depth(m) - 1, with distinct
+    values at most that, so F serves every step of a walk.  Each layer is
+    first cut into ints of WITNESS_BLOCK bits (_block_ints); a layer's bytes
+    can go once it is cut, so pass them lazily to keep one layer's bytes at
+    a time.  The table is then filled one block of targets at a time, one
+    pass per layer k and pool value, largest value first: the targets of
+    depth k still open are T, the hits are T & (L[k-1] << v), and each hit
+    takes v and leaves T.  A pass's window of layer k - 1 starts at a bit
+    offset s and is two shifts and an OR of the block ints that hold it.
+    The hits are not read out bit by bit: they are ORed into one bitplane
+    per bit of the index, and at the end of the block each plane is spread
+    into byte lanes (its binary text, translated) and the lanes are written
+    into F.  'H' holds the index of every pool up to the scan ceiling,
+    which has about 2,500 values.
     """
     width = WITNESS_BLOCK
     layers = [_block_ints(layer, limit) for layer in layer_bytes]
@@ -552,39 +554,25 @@ def _witnesses(
     The table must name a first term for exactly the targets that the
     deepest layer holds, which each block checks by counting both; a
     target left with a remainder after as many terms as there are layers
-    also means a corrupt table.  With distinct values a choice can strand
-    the rest, so the walk is the depth-first _strict_search per target,
-    which backs up past it.
+    also means a corrupt table.
+
+    With distinct values a largest-first choice can strand the rest, so
+    each walked block is checked in bulk: in neighbouring columns the later
+    index is below the earlier one wherever the earlier is nonzero.  A row
+    that passes is the depth-first _strict_search's first answer: each step
+    lowers the depth, so it has at most depth(m) terms, and as a distinct
+    sum at least that many, so every step took the search's first
+    candidate.  A block with a failing row is rebuilt by the search, target
+    by target.
     """
     built = len(masks) - 1
-    if strict_distinct:
-        layer_bytes = [_mask_bytes(mask, limit) for mask in masks]
-        # the search reads only the bytes; a stream's frame would hold both
-        # to its end
-        del masks
-        search = _strict_search(values, layer_bytes)
-        index_of = {v: i for i, v in enumerate(values, 1)}
-        for start in range(lo, hi, _WALK_BLOCK):
-            targets, rows = [], []
-            for m in range(start, min(start + _WALK_BLOCK, hi)):
-                depth = 1
-                while depth <= built and not layer_bytes[depth][m >> 3] >> (m & 7) & 1:
-                    depth += 1
-                if depth > built:
-                    continue
-                terms = search(m, depth, 0)
-                if terms is None:
-                    raise RuntimeError(
-                        f"strict recovery failed for {m}; masks corrupt"
-                    )
-                targets.append(m)
-                rows.append([index_of[v] for v in terms])
-            if targets:
-                yield targets, list(zip_longest(*rows, fillvalue=0))
-        return
     # the deepest layer holds every target the walk must yield
     reached = _mask_bytes(masks[built], limit)
     layer_bytes = (_mask_bytes(mask, limit) for mask in masks)
+    if strict_distinct:
+        # the fallback searches the layers' bytes for the whole stream
+        layer_bytes = list(layer_bytes)
+        search = _strict_search(values, layer_bytes)
     # once _first_terms has cut the layers, nothing holds the masks, so they
     # are gone before it allocates the table
     del masks
@@ -625,4 +613,20 @@ def _witnesses(
             rest = tuple(map(sub, rest, taken))
             column = _gather(first, rest)
             columns.append(column)
+        # a 0 is only followed by 0, so every row descends exactly when the
+        # later index is >= the earlier one in the earlier column's 0s alone
+        if strict_distinct and not all(
+            sum(map(ge, later, earlier)) == earlier.count(0)
+            for earlier, later in zip(columns, columns[1:])
+        ):
+            rows = []
+            for m in targets:
+                depth = 1
+                while not layer_bytes[depth][m >> 3] >> (m & 7) & 1:
+                    depth += 1
+                terms = search(m, depth, 0)
+                if terms is None:
+                    raise RuntimeError(f"strict recovery failed for {m}; masks corrupt")
+                rows.append([bisect_right(values, v) for v in terms])
+            columns = list(zip_longest(*rows, fillvalue=0))
         yield targets, columns

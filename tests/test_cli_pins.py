@@ -3,12 +3,13 @@
 `golden/cli_matrix.json` stops at N = 40, where no target needs four terms.
 At N = 80000 the targets 26015, 63117 and 75977 do, so these pins cover
 every recovery depth of the default mode.  The strict-distinct pins cover
-its depth-first recovery: at N = 3000 it never goes past three terms, and
+its recovery: at N = 3000 it never goes past three terms, and
 N = 30000 is the first size whose stream has a four-term target (26015).
 The 80000 and 3000 digests were taken from the output of the buffered
 renderer, before witness lines were streamed; the 30000 digest from the
 stream whose strict search was bounded by prefix sums, before it was
-pruned by the layer masks.
+pruned by the layer masks.  The 100000 strict digest was taken from the
+depth-first stream, before strict recovery went through the first-term table.
 """
 
 import contextlib
@@ -34,6 +35,10 @@ PINS = {
     ),
     "pollock 30000 --strict-distinct --witnesses --format json": (
         "da2a01fd68d48d2e80590a7976be7edd08a8f61bbc2e52ad253163bb810a531e",
+        5,
+    ),
+    "pollock 100000 --strict-distinct --witnesses --format json": (
+        "6436b6e3fbd48b5bd51b5726dac9bbbfb083d2cd5d98942ddbcc8ab01acc7886",
         5,
     ),
 }

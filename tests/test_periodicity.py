@@ -18,7 +18,6 @@ from platonics import (
     empirical_period,
     periodicity,
     platonic_value,
-    residue_sequence,
 )
 
 
@@ -63,22 +62,6 @@ def test_modulus_below_two_rejected(kind):
             closed_form_period(kind, d)
         with pytest.raises(ValueError):
             empirical_period(kind, d)
-
-
-def test_residue_sequence_examples():
-    assert residue_sequence(PlatonicKind.TETRAHEDRAL, 2, 8).residues == (
-        1, 0, 0, 0, 1, 0, 0, 0,
-    )
-    assert residue_sequence(PlatonicKind.OCTAHEDRAL, 2, 6).residues == (
-        1, 0, 1, 0, 1, 0,
-    )
-    for d in (2, 7, 100):
-        assert residue_sequence(PlatonicKind.CUBE, d, 1).residues == (1,)
-
-
-def test_residue_sequence_validation():
-    with pytest.raises(ValueError):
-        residue_sequence(PlatonicKind.CUBE, 2, 0)
 
 
 def test_empirical_examples():
@@ -222,7 +205,7 @@ def test_empirical_divides_closed_form(kind):
 def test_window_repeats_under_empirical_shift(kind):
     for d in (2, 9, 14):
         shift = empirical_period(kind, d)
-        window = residue_sequence(kind, d, 2 * shift).residues
+        window = [platonic_value(kind, n) % d for n in range(1, 2 * shift + 1)]
         assert window[shift:] == window[:shift]
 
 

@@ -410,12 +410,23 @@ def test_walk_stops_on_a_corrupt_table(monkeypatch):
         assert time.perf_counter() - started < 1.0
 
 
-def test_corrupt_strict_masks_raise():
-    # no two distinct values of 1..4 sum to 11
+@pytest.mark.parametrize(
+    "layer, message",
+    [
+        # no two distinct values of 1..4 sum to 11, nor any value leaves a
+        # one-term remainder, so the fill of layer 2 finds no first term
+        (2, "no predecessor for 11 at layer 2"),
+        # 11 - 4 = 7 = 4 + 2 + 1 gives the fill a first term, but the walk
+        # takes 4 twice and the depth-first rebuild finds no four distinct
+        # values of 1..4 that sum to 11
+        (4, "strict recovery failed for 11"),
+    ],
+    ids=["fill", "fallback"],
+)
+def test_corrupt_strict_masks_raise(layer, message):
     values = [1, 2, 3, 4]
-    masks = with_bit(pollock._layer_masks(values, 12, 4, True), 11, 2)
-    message = "strict recovery failed for 11; masks corrupt"
-    with pytest.raises(RuntimeError, match=message):
+    masks = with_bit(pollock._layer_masks(values, 12, 4, True), 11, layer)
+    with pytest.raises(RuntimeError, match=f"{message}; masks corrupt"):
         list(pollock._witnesses(1, 13, 12, masks, values, True))
 
 

@@ -9,10 +9,11 @@ import io
 import json
 import time
 from contextlib import redirect_stdout
-from itertools import zip_longest
+from itertools import combinations, zip_longest
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from platonics import (
@@ -276,6 +277,102 @@ def test_witness_blocks_join_up(block, monkeypatch):
             assert len(windows) < -(-n // block)
     blocks = pollock._scan_terms(strict_n, 5, True)[2]
     assert flatten(blocks, block, values)[0] == strict
+
+
+def first_distinct_sums(values, limit, max_terms):
+    """{m: terms} for every m in [1, limit] that at most max_terms distinct
+    values sum to: the first entry of combinations(values, k), values
+    descending, that sums to m, for the smallest such k.  That is the first
+    answer of a depth-first search that tries the largest value first."""
+    values_desc = sorted(values, reverse=True)
+    # fewest[t] = fewest distinct values summing to t, by a 0/1 knapsack
+    fewest = [0] + [None] * limit
+    for v in values_desc:
+        for t in range(limit, v - 1, -1):
+            if fewest[t - v] is not None and (
+                fewest[t] is None or fewest[t - v] + 1 < fewest[t]
+            ):
+                fewest[t] = fewest[t - v] + 1
+    deepest = min(max_terms, max(k for k in fewest if k is not None))
+    first = {}
+    for k in range(1, deepest + 1):
+        for combo in combinations(values_desc, k):
+            m = sum(combo)
+            if m <= limit and fewest[m] == k:
+                first.setdefault(m, combo)
+    return first
+
+
+def strict_walk(values, limit, max_terms):
+    """[(m, terms)] of the strict walk over [1, limit], and the targets whose
+    rows the depth-first fallback rebuilt."""
+    rebuilt = []
+    real = pollock._strict_search
+
+    def counting(*args):
+        search = real(*args)
+
+        def top(target, need, start):
+            rebuilt.append(target)
+            return search(target, need, start)
+
+        return top
+
+    masks = pollock._layer_masks(values, limit, max_terms, True)
+    with mock.patch.object(pollock, "_strict_search", counting):
+        blocks = pollock._witnesses(1, limit + 1, limit, masks, values, True)
+        found = [
+            (m, tuple(values[i - 1] for i in row if i))
+            for targets, columns in blocks
+            for m, row in zip(targets, zip(*columns))
+        ]
+    return found, rebuilt
+
+
+#: Rows of the one-family strict walks up to ORACLE_LIMIT whose indices do
+#: not strictly descend, found at a walk block of 1.
+FAILING_ROWS = (57, 193, 88, 1, 0)
+
+
+@pytest.mark.parametrize("family", range(5))
+def test_strict_walk_of_one_family_matches_combinations(family, monkeypatch):
+    # a one-family pool is small enough that the first-term table's choice
+    # often strands the rest of a distinct sum, which the walk must catch
+    n = ORACLE_LIMIT
+    form = CLOSED_FORMS[family]
+    values = [form(k) for k in range(1, n + 1) if form(k) <= n]
+    expected = sorted(first_distinct_sums(values, n, 25).items())
+    monkeypatch.setattr(pollock, "_WALK_BLOCK", 1)
+    found, failing = strict_walk(values, n, 25)
+    assert first_difference(found, expected) is None
+    assert len(failing) == FAILING_ROWS[family]
+    # a block with one failing row is rebuilt whole
+    monkeypatch.setattr(pollock, "_WALK_BLOCK", 1024)
+    found, rebuilt = strict_walk(values, n, 25)
+    assert first_difference(found, expected) is None
+    windows = {(m - 1) // 1024 for m in failing}
+    assert rebuilt == [m for m, _ in expected if (m - 1) // 1024 in windows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=12),
+    limit=st.integers(min_value=1, max_value=60),
+    max_terms=st.integers(min_value=1, max_value=8),
+    block=st.sampled_from([1, 1024]),
+)
+# the table walks 9 as 4 + 4 + 1 and 10 as 4 + 4 + 2, so both need the fallback
+@example(pool={1, 2, 3, 4}, limit=10, max_terms=4, block=1)
+@example(pool={1, 2, 3, 4}, limit=10, max_terms=4, block=1024)
+def test_strict_walk_of_a_small_pool_matches_combinations(
+    pool, limit, max_terms, block
+):
+    values = sorted(v for v in pool if v <= limit)
+    assume(values)
+    expected = sorted(first_distinct_sums(values, limit, max_terms).items())
+    with mock.patch.object(pollock, "_WALK_BLOCK", block):
+        found, _ = strict_walk(values, limit, max_terms)
+    assert first_difference(found, expected) is None
 
 
 def test_scan_million_pinned():
