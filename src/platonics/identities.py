@@ -4,11 +4,13 @@ For each family the order-1 and order-2 differences are quadratic and
 linear polynomials in the index, the order-3 difference is a constant, and
 the order-4 difference vanishes.  `identity_residual` evaluates both sides
 of the matching identity so a disagreement is diagnosable, not just
-detectable.
+detectable.  A run of indices shares one window of values and one pass of
+differencing, so each value is computed once per run, not once per index.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .sequences import PlatonicKind, exact_div, forward_difference, platonic_value
@@ -73,22 +75,30 @@ def expected_difference(kind: PlatonicKind, order: int, n: int) -> int:
     raise ValueError(f"order must be in 1..4, got {order}")
 
 
-def identity_residual(kind: PlatonicKind, order: int, n: int) -> IdentityCheck:
-    """Evaluate one identity: closed form vs. raw-value differences."""
+def _identity_checks(
+    kind: PlatonicKind, order: int, lo: int, hi: int
+) -> Iterator[IdentityCheck]:
+    """`identity_residual` at every n in [lo, hi], from one window of values."""
     if not 1 <= order <= 4:
         raise ValueError(f"order must be in 1..4, got {order}")
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    expected = expected_difference(kind, order, n)
-    actual = difference_from_values(kind, order, n)
-    return IdentityCheck(
-        kind=kind,
-        order=order,
-        index=n,
-        expected=expected,
-        actual=actual,
-        holds=expected == actual,
-    )
+    if lo < 1:
+        raise ValueError(f"index must be >= 1, got {lo}")
+    window = [platonic_value(kind, n) for n in range(lo, hi + order + 1)]
+    for n, actual in enumerate(forward_difference(window, order), lo):
+        expected = expected_difference(kind, order, n)
+        yield IdentityCheck(
+            kind=kind,
+            order=order,
+            index=n,
+            expected=expected,
+            actual=actual,
+            holds=expected == actual,
+        )
+
+
+def identity_residual(kind: PlatonicKind, order: int, n: int) -> IdentityCheck:
+    """Evaluate one identity: closed form vs. raw-value differences."""
+    return next(_identity_checks(kind, order, n, n))
 
 
 def combined_residual_tetrahedral(n: int) -> int:

@@ -2,8 +2,9 @@
 
 Each family has a proven period modulo d given by a small case split on d.
 The closed form is a period, but not necessarily the minimal one, so the
-empirical detector searches the divisors of the closed form in ascending
-order and reports the smallest shift that actually repeats.
+empirical detector works like order finding: it certifies the closed form,
+then strips its prime factors one at a time for as long as what is left
+still repeats, and reports the shift it ends at.
 
 A shift s is decided from four residues.  Every family satisfies the order-4
 recurrence y[n] = 4y[n-1] - 6y[n-2] + 4y[n-3] - y[n-4], and so does
@@ -81,51 +82,65 @@ def closed_form_period(kind: PlatonicKind, d: int) -> int:
     return 2 * d if d % 2 == 0 else d
 
 
-def _divisors(n: int) -> list[int]:
-    """Divisors of n, ascending, built from its prime factors.
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, ascending.
 
     Trial division stops at the square root of the part of n not yet
     factored.  A closed-form period is d times 1, 2, 3 or 6, so that part
     is soon a factor of d, most often far below the square root of n.
     """
-    divisors = [1]
+    primes = []
     rest = n
     f = 2
     while f * f <= rest:
         if rest % f == 0:
-            powers = [1]
+            primes.append(f)
             while rest % f == 0:
                 rest //= f
-                powers.append(powers[-1] * f)
-            divisors = [x * p for p in powers for x in divisors]
         f += 1 if f == 2 else 2
     if rest > 1:
-        divisors += [x * rest for x in divisors]
-    return sorted(divisors)
+        primes.append(rest)
+    return primes
+
+
+# f(1..4) of each family: the left-hand sides of every four-residue test.
+_FIRST_VALUES = {
+    kind: tuple(platonic_value(kind, n) for n in range(1, 5)) for kind in PlatonicKind
+}
 
 
 def empirical_period(kind: PlatonicKind, d: int) -> int:
     """Smallest shift under which the residues repeat.
 
-    The minimal period of a purely periodic sequence divides every period,
-    and the closed form is proven to be a period, so it suffices to test
-    the divisors of the closed form in ascending order.  Each shift s is
-    certified by f(n+s) = f(n) mod d at n = 1..4, which by the shared
-    recurrence holds for every n (see the module docstring).
+    The periods of a purely periodic sequence are exactly the multiples of
+    its minimal one.  So once the closed form L is certified as a period,
+    the minimal period is what is left after dividing L by each of its
+    primes p for as long as the quotient is still a period: a quotient that
+    fails is no longer a multiple of the minimum, so p is then down to the
+    minimum's power of it.  Each shift s is certified by f(n+s) = f(n) mod d
+    at n = 1..4, which by the shared recurrence holds for every n (see the
+    module docstring).
     """
     _require_period_modulus(d)
     length = closed_form_period(kind, d)
-    base = [platonic_value(kind, n) for n in range(1, 5)]
-    for shift in _divisors(length):
-        if all(
-            (platonic_value(kind, n + shift) - value) % d == 0
-            for n, value in enumerate(base, 1)
-        ):
-            return shift
-    raise PeriodConsistencyError(
-        f"no divisor of {length} is a period of {kind.value} mod {d}; "
-        f"the closed-form period claim is violated"
-    )
+    base = _FIRST_VALUES[kind]
+
+    def repeats(shift: int) -> bool:
+        for n, value in enumerate(base, 1):
+            if (platonic_value(kind, n + shift) - value) % d:
+                return False
+        return True
+
+    if not repeats(length):
+        raise PeriodConsistencyError(
+            f"no divisor of {length} is a period of {kind.value} mod {d}; "
+            f"the closed-form period claim is violated"
+        )
+    period = length
+    for p in _prime_factors(length):
+        while period % p == 0 and repeats(period // p):
+            period //= p
+    return period
 
 
 def check_period_claim(kind: PlatonicKind, d: int) -> PeriodReport:

@@ -10,6 +10,8 @@ explicit four-term representation of m with base index m/M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from .sequences import PlatonicKind, platonic_value
 
@@ -73,7 +75,7 @@ class Representation:
             self.base_index + 3,
         )
 
-    @property
+    @cached_property
     def values(self) -> tuple[int, int, int, int]:
         return tuple(platonic_value(self.kind, i) for i in self.indices)
 
@@ -90,10 +92,7 @@ class Representation:
 
 def evaluate_representation(rep: Representation) -> int:
     """Exact value of the combination; equals rep.target for our output."""
-    return sum(
-        coeff * platonic_value(rep.kind, index)
-        for coeff, index in zip(rep.coefficients, rep.indices)
-    )
+    return sum(map(mul, rep.coefficients, rep.values))
 
 
 def represent_multiple(kind: PlatonicKind, target: int) -> Representation:

@@ -27,6 +27,9 @@ class PlatonicKind(Enum):
     ICOSAHEDRAL = "icosahedral"
     DODECAHEDRAL = "dodecahedral"
 
+    # Members are singletons compared by identity; Enum's hash goes via the name.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -1,6 +1,10 @@
 """Difference identities: closed-form sides vs raw-value differences."""
 
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platonics import (
     PlatonicKind,
@@ -9,6 +13,7 @@ from platonics import (
     identity_residual,
     platonic_value,
 )
+from platonics.identities import _identity_checks
 
 
 def test_second_order_dodecahedral_at_one():
@@ -42,6 +47,30 @@ def test_first_order_tetrahedral_at_three():
 def test_identities_hold_over_range(kind, order):
     for n in range(1, 121):
         assert identity_residual(kind, order, n).holds
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(list(PlatonicKind)),
+    order=st.integers(min_value=1, max_value=4),
+    lo=st.integers(min_value=1, max_value=10**6),
+    width=st.integers(min_value=0, max_value=60),
+)
+def test_identity_checks_match_binomial_sums(kind, order, lo, width):
+    # Independent oracle: the order-k forward difference at n is
+    # sum_j (-1)**(k-j) * C(k, j) * f(n+j), with no differencing code shared.
+    hi = lo + width
+    checks = list(_identity_checks(kind, order, lo, hi))
+    assert [c.index for c in checks] == list(range(lo, hi + 1))
+    for check in checks:
+        n = check.index
+        oracle = sum(
+            (-1) ** (order - j) * comb(order, j) * platonic_value(kind, n + j)
+            for j in range(order + 1)
+        )
+        assert (check.kind, check.order) == (kind, order)
+        assert check.actual == oracle
+        assert check.holds
 
 
 def test_third_order_constants():

@@ -85,13 +85,34 @@ def test_empirical_matches_naive_oracle(kind):
 @example(kind=PlatonicKind.TETRAHEDRAL, d=3)
 @example(kind=PlatonicKind.CUBE, d=9)
 @example(kind=PlatonicKind.TETRAHEDRAL, d=198)
+# Powers of 3 in the closed form: the detector strips one 3 and tests for
+# a second, which must fail, since cubes mod 9k repeat first at 3k.
+@example(kind=PlatonicKind.CUBE, d=81)
+@example(kind=PlatonicKind.CUBE, d=243)
+@example(kind=PlatonicKind.CUBE, d=486)
 def test_four_residue_certificate_matches_full_window(kind, d):
     assert empirical_period(kind, d) == naive_min_period(kind, d)
 
 
-def trial_division_divisors(n):
+def test_detector_strips_each_prime_down_to_the_minimum(monkeypatch):
+    # No platonic family needs a prime stripped twice, so a stand-in
+    # sequence of minimal period 6 under a claimed period of 2**3 * 3**3 * 5
+    # checks that 2 and 3 go twice each and 5 once.  It agrees with the
+    # cubes at n = 1..4 and its values stay distinct mod 1000.
+    real = platonic_value
+    monkeypatch.setattr(periodicity, "closed_form_period", lambda kind, d: 1080)
+    monkeypatch.setattr(
+        periodicity, "platonic_value", lambda kind, n: real(kind, (n - 1) % 6 + 1)
+    )
+    assert empirical_period(PlatonicKind.CUBE, 1000) == 6
+
+
+def trial_division_primes(n):
+    def is_prime(p):
+        return p > 1 and all(p % f for f in range(2, int(p**0.5) + 1))
+
     small = [f for f in range(1, int(n**0.5) + 1) if n % f == 0]
-    return sorted({*small, *(n // f for f in small)})
+    return sorted(p for p in {*small, *(n // f for f in small)} if is_prime(p))
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,13 +123,16 @@ def trial_division_divisors(n):
 @example(n=720_720)
 @example(n=2**19)
 @example(n=997 * 997)
-def test_divisors_match_trial_division(n):
-    assert periodicity._divisors(n) == trial_division_divisors(n)
+def test_prime_factors_match_trial_division(n):
+    assert periodicity._prime_factors(n) == trial_division_primes(n)
 
 
 def test_period_range_value_calls_stay_bounded(monkeypatch, tmp_path):
-    # Each shift costs at most four closed-form values; a window of two
-    # closed-form periods per modulus would cost 328,118 for this command.
+    # Each shift costs at most four closed-form values, and the detector
+    # tests at most one shift more than the closed form has prime factors,
+    # counted with multiplicity: 5,985 values for this command.  Testing
+    # every divisor cost 13,846, and a window of two closed-form periods
+    # per modulus would cost 328,118.
     calls = 0
 
     def counting(kind, n):
@@ -119,7 +143,7 @@ def test_period_range_value_calls_stay_bounded(monkeypatch, tmp_path):
     monkeypatch.setattr(periodicity, "platonic_value", counting)
     out = tmp_path / "period.csv"
     assert cli.main(["period", "all", "2..200", "--out", str(out)]) == 0
-    assert calls <= 40_000
+    assert calls <= 6_500
 
 
 def test_non_period_closed_form_raises(monkeypatch, capsys):
