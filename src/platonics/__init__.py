@@ -10,7 +10,6 @@ from .identities import (
     IdentityCheck,
     THIRD_DIFFERENCE_CONSTANTS,
     combined_residual_tetrahedral,
-    difference_from_values,
     expected_difference,
     identity_residual,
 )
@@ -29,7 +28,6 @@ from .pollock import (
     PoolEntry,
     ScanReport,
     Witness,
-    iter_witnesses,
     min_term_decomposition,
     platonic_pool,
     scan_conjecture,
@@ -89,7 +87,6 @@ __all__ = [
     "check_period_range",
     "closed_form_period",
     "combined_residual_tetrahedral",
-    "difference_from_values",
     "difference_table",
     "empirical_period",
     "evaluate_representation",
@@ -97,7 +94,6 @@ __all__ = [
     "expected_difference",
     "forward_difference",
     "identity_residual",
-    "iter_witnesses",
     "min_term_decomposition",
     "platonic_pool",
     "platonic_value",

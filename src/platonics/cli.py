@@ -28,8 +28,8 @@ from itertools import chain, repeat
 from operator import add, mod, truth
 
 from .identities import IdentityCheck, _identity_checks
-from .periodicity import PeriodConsistencyError, PeriodReport, check_period_range
-from .pollock import ScanReport, _gather, _scan_terms, _WitnessBlock
+from .periodicity import PeriodReport, check_period_range
+from .pollock import ScanReport, _gather, _scan, _witnesses, _WitnessBlock
 from .representations import (
     REPRESENT_MAX_DIGITS,
     NotDivisibleError,
@@ -290,7 +290,7 @@ def _report_fields(report: ScanReport) -> Iterator[dict]:
 def _witness_text(
     fmt: str, blocks: Iterable[_WitnessBlock], values: list[int]
 ) -> Iterator[str]:
-    """The witness lines of each block of `_scan_terms`, joined into one
+    """The witness lines of each block of `_witnesses`, joined into one
     string per block.
 
     json lines are `json.dumps(w.to_json_dict())` of each Witness, written
@@ -373,11 +373,14 @@ def _report_text(report: ScanReport) -> str:
 def _cmd_pollock(args: argparse.Namespace) -> int:
     if args.witnesses and args.format == "csv":
         raise ValueError("witness streaming needs table or json format")
-    report, pool, blocks = _scan_terms(args.n, args.max_terms, args.strict_distinct)
+    n, strict_distinct = args.n, args.strict_distinct
+    report, _, values, masks = _scan(n, args.max_terms, strict_distinct)
     # Witness lines are written a block at a time as they are recovered,
-    # the report last.
-    values = [entry.value for entry in pool]
-    blocks = blocks if args.witnesses else iter(())
+    # the report last.  Only the walk keeps the masks (see _scan).
+    blocks = iter(())
+    if args.witnesses:
+        blocks = _witnesses(1, n + 1, n, masks, values, strict_distinct)
+    del masks
     _render(
         args,
         _report_fields(report),
@@ -537,7 +540,8 @@ def main(argv: list[str] | None = None) -> int:
     except NotDivisibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_DIVISIBLE
-    except PeriodConsistencyError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
+        # an engine consistency check failed: a bug, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

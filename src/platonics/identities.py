@@ -56,12 +56,6 @@ class IdentityCheck:
     holds: bool
 
 
-def difference_from_values(kind: PlatonicKind, order: int, n: int) -> int:
-    """Order-k forward difference at index n, computed from raw values."""
-    window = [platonic_value(kind, n + j) for j in range(order + 1)]
-    return forward_difference(window, order)[0]
-
-
 def expected_difference(kind: PlatonicKind, order: int, n: int) -> int:
     """Closed-form right-hand side for the order-k difference at index n."""
     if order == 1:
@@ -109,7 +103,7 @@ def combined_residual_tetrahedral(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    kind = PlatonicKind.TETRAHEDRAL
-    second = difference_from_values(kind, 2, n)
-    third = difference_from_values(kind, 3, n)
-    return second - 2 * third
+    window = [platonic_value(PlatonicKind.TETRAHEDRAL, n + j) for j in range(4)]
+    second = forward_difference(window, 2)
+    third = forward_difference(second, 1)[0]
+    return second[0] - 2 * third

@@ -152,19 +152,14 @@ def witness_from_values(
 
 
 def _layer_masks(
-    values: list[int],
-    limit: int,
-    max_terms: int,
-    strict_distinct: bool,
-    stop_bit: int | None = None,
+    values: list[int], limit: int, max_terms: int, strict_distinct: bool
 ) -> list[int]:
     """Cumulative reachability masks; masks[k] = sums of at most k terms.
 
     `values` must be ascending and lie in [1, limit], and max_terms must be
-    at least 1.  Bit 0 stands for the empty sum.  With stop_bit set,
-    layering stops as soon as that bit appears (single-target use).
-    Layering also stops at the fixpoint, so the list may be shorter than
-    max_terms + 1: every later mask equals the last one.
+    at least 1.  Bit 0 stands for the empty sum.  Layering stops at the
+    fixpoint, so the list may be shorter than max_terms + 1: every later
+    mask equals the last one.
     """
     full = (1 << (limit + 1)) - 1
     masks = [1]
@@ -184,8 +179,6 @@ def _layer_masks(
         if not strict_distinct and mask == masks[-1]:
             break
         masks.append(mask)
-        if stop_bit is not None and (mask >> stop_bit) & 1:
-            break
     return masks
 
 
@@ -310,49 +303,25 @@ def _strict_search(values: list[int], layer_bytes: list[bytes]):
     return search
 
 
-def min_term_decomposition(
-    m: int,
-    pool: list[PoolEntry],
-    max_terms: int = 5,
-    strict_distinct: bool = False,
-) -> Witness | None:
-    """Witness with the minimum possible term count, or None.
+def _scan(
+    n: int, max_terms: int, strict_distinct: bool
+) -> tuple[ScanReport, list[PoolEntry], list[int], list[int]]:
+    """One scan of [1, n]: check the arguments, then build the pool, its
+    values, the layer masks and the report they give.
 
-    The pool must contain every platonic value up to m (build it with
-    limit >= m); None means no decomposition exists within the budget,
-    which is a result, not an error.  m is held to the scans' ceiling,
-    since its masks are (m + 1)-bit layers like a scan's.
+    A caller that walks the masks passes them to _witnesses and keeps no
+    reference of its own, so that the walk frees them before it allocates
+    the first-term table.
     """
-    _check_scan_args(m, max_terms, "target")
-    entries = [entry for entry in pool if entry.value <= m]
-    values = [entry.value for entry in entries]
-    masks = _layer_masks(values, m, max_terms, strict_distinct, stop_bit=m)
-    found = _witnesses(m, m + 1, m, masks, values, strict_distinct)
-    return next(_with_provenance(found, entries), None)
-
-
-def _check_scan_args(n: int, max_terms: int, name: str = "scan bound") -> None:
     if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
+        raise ValueError(f"scan bound must be >= 1, got {n}")
     if max_terms < 1:
         raise ValueError(f"term budget must be >= 1, got {max_terms}")
     if n > DEFAULT_SCAN_CEILING:
-        raise ValueError(f"{name} {n} exceeds the ceiling {DEFAULT_SCAN_CEILING}")
-
-
-def _scan_layers(
-    n: int, max_terms: int, strict_distinct: bool
-) -> tuple[list[PoolEntry], list[int]]:
-    """Check the scan arguments, then build the pool and the layer masks."""
-    _check_scan_args(n, max_terms)
+        raise ValueError(f"scan bound {n} exceeds the ceiling {DEFAULT_SCAN_CEILING}")
     pool = platonic_pool(n)
     values = [entry.value for entry in pool]
-    return pool, _layer_masks(values, n, max_terms, strict_distinct)
-
-
-def _report_from_masks(
-    n: int, max_terms: int, strict_distinct: bool, masks: list[int]
-) -> ScanReport:
+    masks = _layer_masks(values, n, max_terms, strict_distinct)
     built = len(masks) - 1
     histogram = {
         k: (masks[k] ^ masks[k - 1]).bit_count() if k <= built else 0
@@ -360,34 +329,21 @@ def _report_from_masks(
     }
     full = (1 << (n + 1)) - 1
     failures = tuple(_set_bits(_mask_bytes(masks[built] ^ full, n)))
-    return ScanReport(
+    report = ScanReport(
         n=n,
         max_terms=max_terms,
         strict_distinct=strict_distinct,
         histogram=histogram,
         failures=failures,
     )
+    return report, pool, values, masks
 
 
 def scan_conjecture(
     n: int, max_terms: int = 5, strict_distinct: bool = False
 ) -> ScanReport:
     """Decide for every integer in [1, n] whether it decomposes in budget."""
-    _, masks = _scan_layers(n, max_terms, strict_distinct)
-    return _report_from_masks(n, max_terms, strict_distinct, masks)
-
-
-def _scan_terms(
-    n: int, max_terms: int, strict_distinct: bool
-) -> tuple[ScanReport, list[PoolEntry], Iterator[_WitnessBlock]]:
-    """One scan of [1, n]: its report, its pool, and the blocks of
-    _witnesses, a minimal witness for every representable m recovered from
-    the same masks.  The CLI renders these blocks; library callers get them
-    as Witness objects from scan_with_witnesses."""
-    pool, masks = _scan_layers(n, max_terms, strict_distinct)
-    report = _report_from_masks(n, max_terms, strict_distinct, masks)
-    values = [entry.value for entry in pool]
-    return report, pool, _witnesses(1, n + 1, n, masks, values, strict_distinct)
+    return _scan(n, max_terms, strict_distinct)[0]
 
 
 def scan_with_witnesses(
@@ -395,15 +351,25 @@ def scan_with_witnesses(
 ) -> tuple[ScanReport, Iterator[Witness]]:
     """One scan of [1, n]: its report, and a lazy stream of a minimal
     witness for every representable m, recovered from the same masks."""
-    report, pool, found = _scan_terms(n, max_terms, strict_distinct)
+    report, pool, values, masks = _scan(n, max_terms, strict_distinct)
+    found = _witnesses(1, n + 1, n, masks, values, strict_distinct)
     return report, _with_provenance(found, pool)
 
 
-def iter_witnesses(
-    n: int, max_terms: int = 5, strict_distinct: bool = False
-) -> Iterator[Witness]:
-    """Yield a minimal witness for every representable m in [1, n]."""
-    yield from scan_with_witnesses(n, max_terms, strict_distinct)[1]
+def min_term_decomposition(
+    m: int, max_terms: int = 5, strict_distinct: bool = False
+) -> Witness | None:
+    """Witness of m with the minimum possible term count, or None.
+
+    The pool is every platonic value up to m.  None means no decomposition
+    exists within the budget, which is a result, not an error.  m is held
+    to the scans' ceiling, since its masks are (m + 1)-bit layers like a
+    scan's.
+    """
+    _, pool, values, masks = _scan(m, max_terms, strict_distinct)
+    found = _witnesses(m, m + 1, m, masks, values, strict_distinct)
+    del masks
+    return next(_with_provenance(found, pool), None)
 
 
 def _with_provenance(

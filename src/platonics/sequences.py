@@ -148,8 +148,7 @@ def difference_table(kind: PlatonicKind, rows: int) -> DifferenceTable:
         raise ValueError(f"rows must be >= 5, got {rows}")
     if rows > DIFFERENCE_MAX_ROWS:
         raise ValueError(f"rows {rows} exceeds the ceiling {DIFFERENCE_MAX_ROWS}")
-    base = [platonic_value(kind, n) for n in range(1, rows + 1)]
-    orders = tuple(
-        tuple(forward_difference(base, order)) for order in range(5)
-    )
-    return DifferenceTable(kind=kind, rows=rows, orders=orders)
+    orders = [tuple(platonic_value(kind, n) for n in range(1, rows + 1))]
+    for _ in range(4):
+        orders.append(tuple(forward_difference(orders[-1], 1)))
+    return DifferenceTable(kind=kind, rows=rows, orders=tuple(orders))

@@ -156,9 +156,8 @@ def test_criterion_5_conjecture_scan():
             total = sum(combo)
             if total <= limit and total not in oracle:
                 oracle[total] = k
-    pool = platonic_pool(limit)
     for m in range(1, limit + 1):
-        witness = min_term_decomposition(m, pool)
+        witness = min_term_decomposition(m)
         observed = len(witness.terms) if witness else None
         assert observed == oracle.get(m), f"min-term count disagrees at {m}"
     elapsed = time.perf_counter() - started

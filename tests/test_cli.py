@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ from platonics import (
     Representation,
     cli,
     evaluate_representation,
+    pollock,
+    representations,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -324,6 +327,31 @@ def test_pollock_ceiling_exit_2(capsys):
     code, _, err = run_cli(["pollock", str(10**9)], capsys)
     assert code == 2
     assert "ceiling" in err
+
+
+def test_corrupt_first_term_table_exits_4(monkeypatch, capsys):
+    real = pollock._first_terms
+
+    def corrupt(*args):
+        table = array("H", real(*args))
+        table[10] = 0  # drops 10, which the pool value 10 reaches
+        return table
+
+    monkeypatch.setattr(pollock, "_first_terms", corrupt)
+    code, out, err = run_cli(["pollock", "20", "--witnesses"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("error: first-term table and layer 3 disagree at 10")
+    assert "masks corrupt" in err
+
+
+def test_wrong_combination_coefficients_exit_4(monkeypatch, capsys):
+    coefficients = representations.COMBINATION_COEFFICIENTS
+    monkeypatch.setitem(coefficients, PlatonicKind.TETRAHEDRAL, (3, -8, 7, -1))
+    code, out, err = run_cli(["represent", "tetrahedral", "5"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("error: combination for tetrahedral evaluated to ")
 
 
 def test_out_file_writes_payload(tmp_path, capsys):

@@ -11,7 +11,6 @@ from platonics import (
     PlatonicKind,
     PoolEntry,
     Witness,
-    iter_witnesses,
     min_term_decomposition,
     platonic_pool,
     scan_conjecture,
@@ -78,51 +77,48 @@ def test_pool_refuses_over_the_ceiling():
 
 
 def test_min_term_trivial():
-    witness = min_term_decomposition(1, platonic_pool(1))
+    witness = min_term_decomposition(1)
     assert witness.term_values == (1,)
     assert verify_witness(witness)
 
 
 def test_min_term_104_is_two_terms():
-    witness = min_term_decomposition(104, platonic_pool(120))
+    witness = min_term_decomposition(104)
     assert witness.term_values == (85, 19)
     assert verify_witness(witness, max_terms=5)
 
 
 def test_min_term_119_is_two_terms():
-    witness = min_term_decomposition(119, platonic_pool(120))
+    witness = min_term_decomposition(119)
     assert witness.term_values == (84, 35)
     assert sum(witness.term_values) == 119
 
 
 def test_min_term_absent_is_none():
-    pool = platonic_pool(20)
-    assert min_term_decomposition(2, pool, max_terms=1) is None
-    assert min_term_decomposition(17, pool, max_terms=2) is None
-    assert min_term_decomposition(17, pool, max_terms=3) is not None
+    assert min_term_decomposition(2, max_terms=1) is None
+    assert min_term_decomposition(17, max_terms=2) is None
+    assert min_term_decomposition(17, max_terms=3) is not None
 
 
 def test_min_term_validation():
-    pool = platonic_pool(10)
     with pytest.raises(ValueError):
-        min_term_decomposition(0, pool)
+        min_term_decomposition(0)
     with pytest.raises(ValueError):
-        min_term_decomposition(5, pool, max_terms=0)
+        min_term_decomposition(5, max_terms=0)
 
 
 def test_min_term_refuses_over_the_ceiling():
     started = time.perf_counter()
     with pytest.raises(ValueError, match="ceiling"):
-        min_term_decomposition(10**8 + 1, platonic_pool(10))
+        min_term_decomposition(10**8 + 1)
     assert time.perf_counter() - started < 1.0
 
 
 def test_min_terms_match_brute_force():
     limit = 300
     oracle = brute_force_min_terms(limit, 5)
-    pool = platonic_pool(limit)
     for m in range(1, limit + 1):
-        witness = min_term_decomposition(m, pool)
+        witness = min_term_decomposition(m)
         observed = len(witness.terms) if witness else None
         assert observed == oracle.get(m), f"min terms disagree at {m}"
         if witness:
@@ -206,7 +202,7 @@ def test_scan_determinism():
     assert scan_conjecture(2000) == scan_conjecture(2000)
 
 
-def shift_or_masks(values, limit, max_terms, strict_distinct, stop_bit=None):
+def shift_or_masks(values, limit, max_terms, strict_distinct):
     """The plain layer definition: shift the previous mask by every value."""
     full = (1 << (limit + 1)) - 1
     masks = [1]
@@ -223,8 +219,6 @@ def shift_or_masks(values, limit, max_terms, strict_distinct, stop_bit=None):
             for v in values:
                 mask |= masks[k - 1] << v
         masks.append(mask & full)
-        if stop_bit is not None and (masks[k] >> stop_bit) & 1:
-            break
     return masks
 
 
@@ -239,12 +233,11 @@ def test_layer_masks_equal_plain_shift_or(strict_distinct, sparsity, monkeypatch
     cases += [(5000, 8), (100, 40), (30_000, 5)]
     for n, max_terms in cases:
         values = [entry.value for entry in platonic_pool(n)]
-        for stop_bit in (None, n, n // 2 + 1):
-            want = shift_or_masks(values, n, max_terms, strict_distinct, stop_bit)
-            got = pollock._layer_masks(values, n, max_terms, strict_distinct, stop_bit)
-            # layering may stop early at a fixpoint; later masks repeat
-            assert got == want[: len(got)], (n, max_terms, stop_bit)
-            assert all(mask == got[-1] for mask in want[len(got) :])
+        want = shift_or_masks(values, n, max_terms, strict_distinct)
+        got = pollock._layer_masks(values, n, max_terms, strict_distinct)
+        # layering may stop early at a fixpoint; later masks repeat
+        assert got == want[: len(got)], (n, max_terms)
+        assert all(mask == got[-1] for mask in want[len(got) :])
 
 
 def test_layers_stop_at_the_fixpoint():
@@ -276,7 +269,7 @@ def test_four_term_integers_exist():
     # smallest integer needing four terms; no three pool values reach it
     target = 26015
     pool = platonic_pool(target)
-    witness = min_term_decomposition(target, pool)
+    witness = min_term_decomposition(target)
     assert len(witness.terms) == 4
     assert verify_witness(witness)
     values = [e.value for e in pool]
@@ -292,9 +285,8 @@ def test_strict_distinct_counterexamples():
 
 
 def test_strict_distinct_witnesses_have_distinct_values():
-    pool = platonic_pool(200)
     for m in (87, 88, 92, 100, 115):
-        witness = min_term_decomposition(m, pool, strict_distinct=True)
+        witness = min_term_decomposition(m, strict_distinct=True)
         assert witness is not None
         assert len(set(witness.term_values)) == len(witness.term_values)
         assert sum(witness.term_values) == m
@@ -303,13 +295,12 @@ def test_strict_distinct_witnesses_have_distinct_values():
 def test_strict_distinct_matches_brute_force():
     limit = 150
     oracle = brute_force_min_terms_distinct(limit, 5)
-    pool = platonic_pool(limit)
     for m in range(1, limit + 1):
-        witness = min_term_decomposition(m, pool, strict_distinct=True)
+        witness = min_term_decomposition(m, strict_distinct=True)
         observed = len(witness.terms) if witness else None
         assert observed == oracle.get(m), f"strict min terms disagree at {m}"
     targets = []
-    for witness in iter_witnesses(limit, strict_distinct=True):
+    for witness in scan_with_witnesses(limit, strict_distinct=True)[1]:
         values = witness.term_values
         assert len(values) == oracle[witness.target], witness.target
         assert len(set(values)) == len(values)
@@ -321,11 +312,13 @@ def test_strict_distinct_matches_brute_force():
 def test_strict_recovery_never_reuses_a_value():
     # a largest-first walk that could reuse a value would reach 9 as 4 + 4 + 1
     # and 10 as 4 + 4 + 1 + 1 here; the platonic pool has no such target up
-    # to 3 * 10**5, so this pool is made up
-    pool = [PoolEntry(value=v, provenance=()) for v in (1, 2, 3, 4)]
+    # to 3 * 10**5, so these values are made up
+    values = [1, 2, 3, 4]
     for m, terms in ((9, (4, 3, 2)), (10, (4, 3, 2, 1))):
-        witness = min_term_decomposition(m, pool, strict_distinct=True)
-        assert witness.term_values == terms
+        masks = pollock._layer_masks(values, m, 5, True)
+        [(targets, columns)] = pollock._witnesses(m, m + 1, m, masks, values, True)
+        assert targets == [m]
+        assert tuple(values[i - 1] for i in next(zip(*columns)) if i) == terms
 
 
 class ForwardOnly(bytes):
@@ -431,10 +424,9 @@ def test_corrupt_strict_masks_raise(layer, message):
 
 
 def test_strict_never_beats_default():
-    pool = platonic_pool(100)
     for m in range(1, 101):
-        default = min_term_decomposition(m, pool)
-        strict = min_term_decomposition(m, pool, strict_distinct=True)
+        default = min_term_decomposition(m)
+        strict = min_term_decomposition(m, strict_distinct=True)
         if strict is not None:
             assert default is not None
             assert len(default.terms) <= len(strict.terms)

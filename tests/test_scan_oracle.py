@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from platonics import (
     cli,
-    iter_witnesses,
     min_term_decomposition,
     platonic_pool,
     pollock,
@@ -113,7 +112,7 @@ def test_scan_matches_dynamic_program(n, max_terms):
 @example(n=3, max_terms=2)
 def test_every_witness_verifies_and_is_minimal(n, max_terms):
     targets = []
-    for witness in iter_witnesses(n, max_terms=max_terms):
+    for witness in scan_with_witnesses(n, max_terms=max_terms)[1]:
         assert verify_witness(witness, max_terms=max_terms)
         assert len(witness.terms) == DEPTH[witness.target]
         targets.append(witness.target)
@@ -187,7 +186,7 @@ def test_witnesses_follow_the_largest_first_path(n, max_terms):
     targets = []
     first_of_depth = {}
     json_lines, table_lines = [], []
-    for witness in iter_witnesses(n, max_terms=max_terms):
+    for witness in scan_with_witnesses(n, max_terms=max_terms)[1]:
         path = PATHS[witness.target]
         assert witness.term_values == path
         assert witness == witness_from_values(witness.target, path, pool)
@@ -200,7 +199,7 @@ def test_witnesses_follow_the_largest_first_path(n, max_terms):
     assert_cli_lines(n, max_terms, json_lines, table_lines)
     # a single target takes the same walk as the stream
     for m in {*first_of_depth.values(), *targets[-1:]}:
-        assert min_term_decomposition(m, pool, max_terms).term_values == PATHS[m]
+        assert min_term_decomposition(m, max_terms).term_values == PATHS[m]
 
 
 @pytest.mark.parametrize("block", [1, 7, 1000, 2500])
@@ -247,6 +246,12 @@ def flatten(blocks, block, values):
     return found, windows
 
 
+def scan_blocks(n, max_terms, strict_distinct):
+    """The walk's blocks over [1, n] from one scan, as the CLI gets them."""
+    _, _, values, masks = pollock._scan(n, max_terms, strict_distinct)
+    return pollock._witnesses(1, n + 1, n, masks, values, strict_distinct)
+
+
 @pytest.mark.parametrize("block", [1, 7, 64, 1000])
 def test_witness_blocks_join_up(block, monkeypatch):
     n = ORACLE_LIMIT
@@ -254,7 +259,7 @@ def test_witness_blocks_join_up(block, monkeypatch):
     strict_n = 300
     strict = [
         (w.target, w.term_values)
-        for w in iter_witnesses(strict_n, strict_distinct=True)
+        for w in scan_with_witnesses(strict_n, strict_distinct=True)[1]
     ]
     # blocks that are not whole bytes put block edges inside layer bytes
     monkeypatch.setattr(pollock, "WITNESS_BLOCK", block)
@@ -268,14 +273,14 @@ def test_witness_blocks_join_up(block, monkeypatch):
     assert got == [PATHS[t][0] if 1 <= DEPTH[t] <= 5 else None for t in range(n + 1)]
     for max_terms in (2, 5):
         reachable = [t for t in range(1, n + 1) if DEPTH[t] <= max_terms]
-        blocks = pollock._scan_terms(n, max_terms, False)[2]
+        blocks = scan_blocks(n, max_terms, False)
         found, windows = flatten(blocks, block, values)
         assert found == [(t, PATHS[t]) for t in reachable]
         # a window with no reachable target yields no block
         assert windows == sorted({(t - 1) // block for t in reachable})
         if max_terms == 2 and block < 64:
             assert len(windows) < -(-n // block)
-    blocks = pollock._scan_terms(strict_n, 5, True)[2]
+    blocks = scan_blocks(strict_n, 5, True)
     assert flatten(blocks, block, values)[0] == strict
 
 
@@ -401,4 +406,4 @@ def test_witness_stream_refuses_before_building(capsys):
     assert "ceiling" in capsys.readouterr().err
     for kwargs in ({"n": 10**8 + 1}, {"n": 10, "max_terms": 0}, {"n": 0}):
         with pytest.raises(ValueError):
-            next(iter_witnesses(**kwargs))
+            next(scan_with_witnesses(**kwargs)[1])
