@@ -2,17 +2,19 @@
 
 All output is deterministic for fixed inputs: integers render as exact
 decimal text, JSON field order is fixed, and CSV column orders are frozen
-(documented in the README).  Every command hands `_render` records, dicts
-that share one key order: `json` writes one object per record and line,
-`csv` writes the keys as a header and then one row per record, and `table`
-aligns the same rows.  A cell reads `true`/`false` for a bool, its items
-joined by `;` for a list, and `str` of anything else.  Where a format's
-text has another shape, such as a single json document, the command passes
-its own callable for that format; `pollock` returns its witness text one
-block of lines at a time, and each block is written as soon as its
-witnesses are recovered.  Exit codes: 0 success, 2 usage or domain error,
-3 divisibility violation, 4 internal consistency failure, 5 scan found an
-integer with no decomposition inside the term budget.
+(documented in the README).  Each command picks its format's text and hands
+it to `_write`, the one function that writes command output: it writes each
+piece of text to stdout or `--out` as the piece is produced.  `pollock`
+produces its witness text one block of lines at a time, so each block is
+written as soon as its witnesses are recovered; the other commands hand
+over one string.  `_records_text` formats records, dicts that share one key
+order: `json` gives one object per record and line, `csv` the keys as a
+header and then one row per record, and `table` the same rows aligned.  A
+cell reads `true`/`false` for a bool, its items joined by `;` for a list,
+and `str` of anything else.  Exit codes: 0 success, 2 usage or domain error
+(an unwritable `--out` included), 3 divisibility violation, 4 internal
+consistency failure (any `RuntimeError`), 5 scan found an integer with no
+decomposition inside the term budget.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import os
 import sys
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 from operator import add, mod, truth
 
@@ -101,8 +103,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _rows_text(fmt: str, records: Iterable[dict]) -> str:
-    """csv or table text of records, headed by the first record's keys."""
+def _records_text(fmt: str, records: Iterable[dict]) -> str:
+    """json lines, or csv or table text headed by the first record's keys."""
+    if fmt == "json":
+        return "".join(json.dumps(record) + "\n" for record in records)
     records = iter(records)
     first = next(records)
     rows = ([_cell(value) for value in r.values()] for r in chain([first], records))
@@ -111,25 +115,8 @@ def _rows_text(fmt: str, records: Iterable[dict]) -> str:
     return _align([list(first), *rows])
 
 
-def _render(
-    args: argparse.Namespace,
-    records: Iterable[dict],
-    **custom: Callable[[], str | Iterable[str]],
-) -> None:
-    """Write the records, or `custom[args.format]()` if given, to the output.
-
-    Pass records lazily (a generator or `map`), so that a format with its
-    own text never builds them.  A custom callable returns its text whole,
-    or as an iterable of pieces that are written as they are produced.
-    """
-    if args.format in custom:
-        text = custom[args.format]()
-    elif args.format == "json":
-        text = "".join(json.dumps(record) + "\n" for record in records)
-    else:
-        text = _rows_text(args.format, records)
-    # writelines over a bare str would write it one character at a time
-    pieces = [text] if isinstance(text, str) else text
+def _write(args: argparse.Namespace, pieces: Iterable[str]) -> None:
+    """Write each piece of text to stdout or `--out` as it is produced."""
     if not args.out:
         sys.stdout.writelines(pieces)
         return
@@ -158,25 +145,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     kind = PlatonicKind(args.kind)
     values = [platonic_value(kind, n) for n in range(lo, hi + 1)]
     if args.check_recurrence:
-        recurrent = platonic_values_by_recurrence(kind, hi).values[lo - 1 :]
-        if list(recurrent) != values:
-            print(
-                f"error: recurrence and closed form disagree for {kind}",
-                file=sys.stderr,
-            )
-            return EXIT_INTERNAL
-
-    def document() -> str:
+        # one expression, so that no name keeps the recurrence's values
+        if list(platonic_values_by_recurrence(kind, hi).values[lo - 1 :]) != values:
+            raise RuntimeError(f"recurrence and closed form disagree for {kind}")
+    if args.format == "json":
         values_text = [str(v) for v in values]
         payload = {"kind": kind.value, "start": lo, "end": hi, "values": values_text}
-        return json.dumps(payload) + "\n"
-
-    _render(
-        args,
-        ({"n": n, "value": v} for n, v in enumerate(values, lo)),
-        json=document,
-        table=lambda: ", ".join(str(v) for v in values) + "\n",
-    )
+        text = json.dumps(payload) + "\n"
+    elif args.format == "table":
+        text = ", ".join(str(v) for v in values) + "\n"
+    else:
+        records = ({"n": n, "value": v} for n, v in enumerate(values, lo))
+        text = _records_text(args.format, records)
+    _write(args, [text])
     return EXIT_OK
 
 
@@ -200,12 +181,12 @@ def _orders_text(table: DifferenceTable) -> list[list[str]]:
 
 def _cmd_difftable(args: argparse.Namespace) -> int:
     table = difference_table(PlatonicKind(args.kind), args.rows)
-
-    def document() -> str:
+    if args.format == "json":
         payload = {"kind": args.kind, "rows": args.rows, "orders": _orders_text(table)}
-        return json.dumps(payload) + "\n"
-
-    _render(args, _difference_records(table), json=document)
+        text = json.dumps(payload) + "\n"
+    else:
+        text = _records_text(args.format, _difference_records(table))
+    _write(args, [text])
     return EXIT_OK
 
 
@@ -225,11 +206,11 @@ def _equation_text(rep: Representation) -> str:
 
 def _cmd_represent(args: argparse.Namespace) -> int:
     rep = represent_multiple(PlatonicKind(args.kind), args.target)
-    _render(
-        args,
-        map(Representation.to_json_dict, [rep]),
-        table=lambda: _equation_text(rep),
-    )
+    if args.format == "table":
+        text = _equation_text(rep)
+    else:
+        text = _records_text(args.format, [rep.to_json_dict()])
+    _write(args, [text])
     return EXIT_OK
 
 
@@ -238,7 +219,7 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 
 def _cmd_period(args: argparse.Namespace) -> int:
     reports = check_period_range(_kinds_for(args.kind), *args.range)
-    _render(args, map(PeriodReport.to_json_dict, reports))
+    _write(args, [_records_text(args.format, map(PeriodReport.to_json_dict, reports))])
     return EXIT_OK
 
 
@@ -268,10 +249,9 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
         for order in range(1, 5)
         for check in _identity_checks(kind, order, lo, hi)
     ]
-    _render(args, map(_identity_record, checks))
+    _write(args, [_records_text(args.format, map(_identity_record, checks))])
     if any(not c.holds for c in checks):
-        print("error: a difference identity failed to hold", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise RuntimeError("a difference identity failed to hold")
     return EXIT_OK
 
 
@@ -375,23 +355,19 @@ def _cmd_pollock(args: argparse.Namespace) -> int:
         raise ValueError("witness streaming needs table or json format")
     n, strict_distinct = args.n, args.strict_distinct
     report, _, values, masks = _scan(n, args.max_terms, strict_distinct)
-    # Witness lines are written a block at a time as they are recovered,
-    # the report last.  Only the walk keeps the masks (see _scan).
-    blocks = iter(())
+    if args.format == "json":
+        pieces = [json.dumps(report.to_json_dict()) + "\n"]
+    elif args.format == "table":
+        pieces = [_report_text(report)]
+    else:
+        pieces = [_records_text(args.format, _report_fields(report))]
     if args.witnesses:
+        # Witness lines are written a block at a time as they are recovered,
+        # the report last.  Only the walk keeps the masks (see _scan).
         blocks = _witnesses(1, n + 1, n, masks, values, strict_distinct)
+        pieces = chain(_witness_text(args.format, blocks, values), pieces)
     del masks
-    _render(
-        args,
-        _report_fields(report),
-        json=lambda: chain(
-            _witness_text("json", blocks, values),
-            [json.dumps(report.to_json_dict()) + "\n"],
-        ),
-        table=lambda: chain(
-            _witness_text("table", blocks, values), [_report_text(report)]
-        ),
-    )
+    _write(args, pieces)
     return EXIT_COUNTEREXAMPLE if report.failures else EXIT_OK
 
 
@@ -405,30 +381,28 @@ def _paper_tables_text(tables: list[DifferenceTable]) -> str:
     for table in tables:
         lines.append("")
         lines.append(f"forward differences: {table.kind.value}")
-        lines.append(_rows_text("table", _difference_records(table)).rstrip("\n"))
+        lines.append(_records_text("table", _difference_records(table)).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
 def _cmd_paper_tables(args: argparse.Namespace) -> int:
     tables = [difference_table(kind, 10) for kind in PlatonicKind]
-
-    def document() -> str:
+    if args.format == "json":
         payload = {
             "sequences": {t.kind.value: _orders_text(t)[0] for t in tables},
             "difference_tables": {t.kind.value: _orders_text(t) for t in tables},
         }
-        return json.dumps(payload) + "\n"
-
-    _render(
-        args,
-        (
+        text = json.dumps(payload) + "\n"
+    elif args.format == "table":
+        text = _paper_tables_text(tables)
+    else:
+        records = (
             {"kind": table.kind.value, **record}
             for table in tables
             for record in _difference_records(table)
-        ),
-        json=document,
-        table=lambda: _paper_tables_text(tables),
-    )
+        )
+        text = _records_text(args.format, records)
+    _write(args, [text])
     return EXIT_OK
 
 

@@ -18,8 +18,10 @@ from platonics import (
     Representation,
     cli,
     evaluate_representation,
+    identities,
     pollock,
     representations,
+    sequences,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -352,6 +354,35 @@ def test_wrong_combination_coefficients_exit_4(monkeypatch, capsys):
     assert code == cli.EXIT_INTERNAL
     assert out == ""
     assert err.startswith("error: combination for tetrahedral evaluated to ")
+
+
+def test_recurrence_disagreement_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(sequences, "RECURRENCE_COEFFICIENTS", (4, -6, 4, -2))
+    code, out, err = run_cli(["gen", "cube", "1..10", "--check-recurrence"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: recurrence and closed form disagree for cube\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_failed_identity_writes_every_record_then_exits_4(
+    to_file, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setitem(identities.THIRD_DIFFERENCE_CONSTANTS, PlatonicKind.CUBE, 7)
+    target = tmp_path / "checks.csv"
+    argv = ["verify-identities", "cube", "1..3", "--format", "csv"]
+    code, out, err = run_cli([*argv, "--out", str(target)] if to_file else argv, capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert err == "error: a difference identity failed to hold\n"
+    if to_file:
+        assert out == ""
+        out = target.read_text(encoding="utf-8")
+    lines = out.splitlines()
+    assert lines[0] == "kind,order,n,expected,actual,holds"
+    assert len(lines) == 13
+    assert [line for line in lines if line.endswith(",false")] == [
+        f"cube,3,{n},7,6,false" for n in (1, 2, 3)
+    ]
 
 
 def test_out_file_writes_payload(tmp_path, capsys):

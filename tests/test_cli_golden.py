@@ -3,7 +3,8 @@
 `golden/cli_matrix.json` maps each command line below to the stdout, stderr
 and exit code that `cli.main` produced for it before the per-format
 renderers were merged into one.  Any change to those bytes is a change of
-the CLI's output contract, not a refactor.
+the CLI's output contract, not a refactor.  Each case also runs with
+`--out FILE`: stdout stays empty and the file holds the golden stdout.
 """
 
 import contextlib
@@ -68,3 +69,15 @@ def test_golden_covers_exactly_the_matrix(golden):
 @pytest.mark.parametrize("case", CASES)
 def test_output_matches_golden(case, golden):
     assert run_main(case.split()) == golden[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_out_file_matches_golden(case, golden, tmp_path):
+    target = tmp_path / "out.txt"
+    result = run_main([*case.split(), "--out", str(target)])
+    expected = golden[case]
+    assert result == {**expected, "stdout": ""}
+    if expected["stdout"]:
+        assert target.read_bytes().decode("utf-8") == expected["stdout"]
+    else:
+        assert not target.exists()
