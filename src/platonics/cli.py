@@ -31,7 +31,7 @@ from operator import add, mod, truth
 
 from .identities import IdentityCheck, _identity_checks
 from .periodicity import PeriodReport, check_period_range
-from .pollock import ScanReport, _gather, _scan, _witnesses, _WitnessBlock
+from .pollock import ScanReport, _gather, _scan, _WitnessBlock
 from .representations import (
     REPRESENT_MAX_DIGITS,
     NotDivisibleError,
@@ -270,7 +270,7 @@ def _report_fields(report: ScanReport) -> Iterator[dict]:
 def _witness_text(
     fmt: str, blocks: Iterable[_WitnessBlock], values: list[int]
 ) -> Iterator[str]:
-    """The witness lines of each block of `_witnesses`, joined into one
+    """The witness lines of each block of a scan's walk, joined into one
     string per block.
 
     json lines are `json.dumps(w.to_json_dict())` of each Witness, written
@@ -353,8 +353,7 @@ def _report_text(report: ScanReport) -> str:
 def _cmd_pollock(args: argparse.Namespace) -> int:
     if args.witnesses and args.format == "csv":
         raise ValueError("witness streaming needs table or json format")
-    n, strict_distinct = args.n, args.strict_distinct
-    report, _, values, masks = _scan(n, args.max_terms, strict_distinct)
+    report, pool, blocks = _scan(args.n, args.max_terms, args.strict_distinct)
     if args.format == "json":
         pieces = [json.dumps(report.to_json_dict()) + "\n"]
     elif args.format == "table":
@@ -363,10 +362,9 @@ def _cmd_pollock(args: argparse.Namespace) -> int:
         pieces = [_records_text(args.format, _report_fields(report))]
     if args.witnesses:
         # Witness lines are written a block at a time as they are recovered,
-        # the report last.  Only the walk keeps the masks (see _scan).
-        blocks = _witnesses(1, n + 1, n, masks, values, strict_distinct)
+        # the report last.
+        values = [entry.value for entry in pool]
         pieces = chain(_witness_text(args.format, blocks, values), pieces)
-    del masks
     _write(args, pieces)
     return EXIT_COUNTEREXAMPLE if report.failures else EXIT_OK
 

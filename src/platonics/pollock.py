@@ -36,13 +36,24 @@ import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress, zip_longest
-from operator import ge, itemgetter, sub
+from itertools import accumulate, compress, zip_longest
+from operator import ge, itemgetter, or_, sub
 
 from .sequences import PlatonicKind, platonic_value
 
 #: Largest scan bound accepted before the dense bit tables get unreasonable.
 DEFAULT_SCAN_CEILING = 100_000_000
+
+#: Largest term budget accepted.  Layering stops at the fixpoint, but the
+#: report keeps a histogram entry per term count: the scan of 10 peaks at
+#: 21 MB with this budget, and at 97 MB with 10**6 terms.
+MAX_TERMS_CEILING = 200_000
+
+#: Most exact-count layer bits a strict scan may build, min(max_terms, pool
+#: size) * (n + 1): as many as the strict scan at the ceiling with the
+#: default budget of 5 terms.  Each layer is shifted once per pool value,
+#: so these bits cost time as well as memory.
+STRICT_BITS_CEILING = 5 * (DEFAULT_SCAN_CEILING + 1)
 
 
 @dataclass(frozen=True)
@@ -157,12 +168,12 @@ def _layer_masks(
     """Cumulative reachability masks; masks[k] = sums of at most k terms.
 
     `values` must be ascending and lie in [1, limit], and max_terms must be
-    at least 1.  Bit 0 stands for the empty sum.  Layering stops at the
-    fixpoint, so the list may be shorter than max_terms + 1: every later
-    mask equals the last one.
+    at least 1.  Bit 0 stands for the empty sum.  With repeats, layering
+    stops at the fixpoint; with distinct values, at the pool size.  So the
+    list may be shorter than max_terms + 1: every later mask equals the
+    last one.
     """
     full = (1 << (limit + 1)) - 1
-    masks = [1]
     if strict_distinct:
         # k distinct values need k pool values, so exact[k] = 0 beyond that
         depth = min(max_terms, len(values))
@@ -170,13 +181,12 @@ def _layer_masks(
         for v in values:
             for k in range(depth, 0, -1):
                 exact[k] = (exact[k] | (exact[k - 1] << v)) & full
-        layers = (masks[-1] | exact[k] for k in range(1, depth + 1))
-    else:
-        layers = _default_layers(values, limit, max_terms, full)
-    for mask in layers:
-        # with repeats, a layer that adds nothing is a fixpoint; a strict
-        # layer can add nothing and the next one still add sums
-        if not strict_distinct and mask == masks[-1]:
+        # a strict layer can add nothing and the next one still add sums
+        return list(accumulate(exact, or_))
+    masks = [1]
+    for mask in _default_layers(values, limit, max_terms, full):
+        # with repeats, a layer that adds nothing is a fixpoint
+        if mask == masks[-1]:
             break
         masks.append(mask)
     return masks
@@ -304,14 +314,15 @@ def _strict_search(values: list[int], layer_bytes: list[bytes]):
 
 
 def _scan(
-    n: int, max_terms: int, strict_distinct: bool
-) -> tuple[ScanReport, list[PoolEntry], list[int], list[int]]:
-    """One scan of [1, n]: check the arguments, then build the pool, its
-    values, the layer masks and the report they give.
+    n: int, max_terms: int, strict_distinct: bool, first: int = 1
+) -> tuple[ScanReport, list[PoolEntry], Iterator[_WitnessBlock]]:
+    """One scan of [1, n]: check the arguments, then build the pool, the
+    layer masks and the report they give.
 
-    A caller that walks the masks passes them to _witnesses and keeps no
-    reference of its own, so that the walk frees them before it allocates
-    the first-term table.
+    The third item is the walk over [first, n] (_witnesses) on those masks.
+    It runs only as its blocks are read, and it alone holds the masks, so
+    they are freed once it has cut them into its table, or with it if it
+    is dropped unread.
     """
     if n < 1:
         raise ValueError(f"scan bound must be >= 1, got {n}")
@@ -319,8 +330,17 @@ def _scan(
         raise ValueError(f"term budget must be >= 1, got {max_terms}")
     if n > DEFAULT_SCAN_CEILING:
         raise ValueError(f"scan bound {n} exceeds the ceiling {DEFAULT_SCAN_CEILING}")
+    if max_terms > MAX_TERMS_CEILING:
+        raise ValueError(
+            f"term budget {max_terms} exceeds the ceiling {MAX_TERMS_CEILING}"
+        )
     pool = platonic_pool(n)
     values = [entry.value for entry in pool]
+    bits = min(max_terms, len(values)) * (n + 1)
+    if strict_distinct and bits > STRICT_BITS_CEILING:
+        raise ValueError(
+            f"strict layers of {bits} bits exceed the ceiling {STRICT_BITS_CEILING}"
+        )
     masks = _layer_masks(values, n, max_terms, strict_distinct)
     built = len(masks) - 1
     histogram = {
@@ -336,7 +356,7 @@ def _scan(
         histogram=histogram,
         failures=failures,
     )
-    return report, pool, values, masks
+    return report, pool, _witnesses(first, n, masks, values, strict_distinct)
 
 
 def scan_conjecture(
@@ -351,9 +371,8 @@ def scan_with_witnesses(
 ) -> tuple[ScanReport, Iterator[Witness]]:
     """One scan of [1, n]: its report, and a lazy stream of a minimal
     witness for every representable m, recovered from the same masks."""
-    report, pool, values, masks = _scan(n, max_terms, strict_distinct)
-    found = _witnesses(1, n + 1, n, masks, values, strict_distinct)
-    return report, _with_provenance(found, pool)
+    report, pool, blocks = _scan(n, max_terms, strict_distinct)
+    return report, _with_provenance(blocks, pool)
 
 
 def min_term_decomposition(
@@ -363,13 +382,11 @@ def min_term_decomposition(
 
     The pool is every platonic value up to m.  None means no decomposition
     exists within the budget, which is a result, not an error.  m is held
-    to the scans' ceiling, since its masks are (m + 1)-bit layers like a
+    to the scans' ceilings, since its masks are (m + 1)-bit layers like a
     scan's.
     """
-    _, pool, values, masks = _scan(m, max_terms, strict_distinct)
-    found = _witnesses(m, m + 1, m, masks, values, strict_distinct)
-    del masks
-    return next(_with_provenance(found, pool), None)
+    _, pool, blocks = _scan(m, max_terms, strict_distinct, first=m)
+    return next(_with_provenance(blocks, pool), None)
 
 
 def _with_provenance(
@@ -498,18 +515,19 @@ def _gather(table: Sequence, keys: list[int]) -> Sequence:
 
 def _witnesses(
     lo: int,
-    hi: int,
     limit: int,
     masks: list[int],
     values: list[int],
     strict_distinct: bool,
 ) -> Iterator[_WitnessBlock]:
-    """Blocks (_WitnessBlock) of a minimal witness for every m in [lo, hi)
+    """Blocks (_WitnessBlock) of a minimal witness for every m in [lo, limit]
     that the masks reach, _WALK_BLOCK targets of the range at a time; a
     block with no reachable target is skipped.
 
     `masks` are _layer_masks over the ascending pool `values` up to
-    `limit`.  A target's depth is the first layer that holds it.  Its terms
+    `limit`.  Nothing but the walk holds them (_scan builds it), and it
+    drops them once the layers are cut, before it allocates the first-term
+    table.  A target's depth is the first layer that holds it.  Its terms
     come from walking back through the layers, each step taking the largest
     pool value that leaves a remainder in the layer below.  With repeats
     that choice always completes, and every step is one lookup in the
@@ -545,8 +563,8 @@ def _witnesses(
     first = _first_terms(layer_bytes, values, limit)
     # the table holds 1 + a pool index, so that 0 can mean "unreached"
     value_at = [0, *values]
-    for start in range(lo, hi, _WALK_BLOCK):
-        stop = min(start + _WALK_BLOCK, hi)
+    for start in range(lo, limit + 1, _WALK_BLOCK):
+        stop = min(start + _WALK_BLOCK, limit + 1)
         column = first[start:stop].tolist()
         targets = list(compress(range(start, stop), column))
         window = int.from_bytes(reached[start >> 3 : ((stop - 1) >> 3) + 1], "little")

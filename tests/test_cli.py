@@ -331,6 +331,42 @@ def test_pollock_ceiling_exit_2(capsys):
     assert "ceiling" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pollock", "10", "--max-terms", "200001"],
+        ["pollock", "10000000", "--strict-distinct", "--max-terms", "50"],
+    ],
+    ids=["term-budget", "strict-layer-bits"],
+)
+def test_pollock_budget_ceiling_exit_2(args, capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(args, capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "ceiling" in err
+
+
+def test_walk_runs_only_when_read(monkeypatch, capsys):
+    usual = {
+        fmt: run_cli(["pollock", "1000", "--format", fmt], capsys)
+        for fmt in cli.FORMATS
+    }
+
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(pollock, "_first_terms", no_walk)
+    for fmt in cli.FORMATS:
+        assert run_cli(["pollock", "1000", "--format", fmt], capsys) == usual[fmt]
+        assert usual[fmt][0] == 0
+    pollock.scan_conjecture(1000)
+    _, stream = pollock.scan_with_witnesses(1000)
+    with pytest.raises(AssertionError, match="the walk started"):
+        next(stream)
+
+
 def test_corrupt_first_term_table_exits_4(monkeypatch, capsys):
     real = pollock._first_terms
 

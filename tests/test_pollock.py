@@ -316,7 +316,7 @@ def test_strict_recovery_never_reuses_a_value():
     values = [1, 2, 3, 4]
     for m, terms in ((9, (4, 3, 2)), (10, (4, 3, 2, 1))):
         masks = pollock._layer_masks(values, m, 5, True)
-        [(targets, columns)] = pollock._witnesses(m, m + 1, m, masks, values, True)
+        [(targets, columns)] = pollock._witnesses(m, m, masks, values, True)
         assert targets == [m]
         assert tuple(values[i - 1] for i in next(zip(*columns)) if i) == terms
 
@@ -370,7 +370,7 @@ def test_corrupt_masks_raise(claims, lo, message):
     for bit, layer in claims:
         masks = with_bit(masks, bit, layer)
     with pytest.raises(RuntimeError, match=f"{message}; masks corrupt"):
-        list(pollock._witnesses(lo, 21, 20, masks, values, False))
+        list(pollock._witnesses(lo, 20, masks, values, False))
 
 
 def test_walk_stops_on_a_corrupt_table(monkeypatch):
@@ -399,7 +399,7 @@ def test_walk_stops_on_a_corrupt_table(monkeypatch):
         monkeypatch.setattr(pollock, "_first_terms", corrupt)
         started = time.perf_counter()
         with pytest.raises(RuntimeError, match=f"{message}; masks corrupt"):
-            list(pollock._witnesses(lo, 21, 20, masks, [5], False))
+            list(pollock._witnesses(lo, 20, masks, [5], False))
         assert time.perf_counter() - started < 1.0
 
 
@@ -420,7 +420,7 @@ def test_corrupt_strict_masks_raise(layer, message):
     values = [1, 2, 3, 4]
     masks = with_bit(pollock._layer_masks(values, 12, 4, True), 11, layer)
     with pytest.raises(RuntimeError, match=f"{message}; masks corrupt"):
-        list(pollock._witnesses(1, 13, 12, masks, values, True))
+        list(pollock._witnesses(1, 12, masks, values, True))
 
 
 def test_strict_never_beats_default():

@@ -19,9 +19,11 @@ from platonics import (
     REPRESENT_MAX_DIGITS,
     SEQUENCE_MAX_INDEX,
     PlatonicKind,
+    pollock,
 )
 
 KIND = PlatonicKind.DODECAHEDRAL
+MAX_TERMS_CEILING = pollock.MAX_TERMS_CEILING
 
 #: (name, call): one smallest call past a ceiling of that name, each of
 #: which must raise ValueError naming the ceiling.
@@ -30,6 +32,19 @@ OVER_THE_CEILING = [
     ("scan_conjecture", lambda f: f(DEFAULT_SCAN_CEILING + 1)),
     ("scan_with_witnesses", lambda f: f(DEFAULT_SCAN_CEILING + 1)),
     ("min_term_decomposition", lambda f: f(DEFAULT_SCAN_CEILING + 1)),
+    # the term budget, in every mode
+    ("scan_conjecture", lambda f: f(10, max_terms=MAX_TERMS_CEILING + 1)),
+    ("scan_with_witnesses", lambda f: f(10, max_terms=MAX_TERMS_CEILING + 1)),
+    ("min_term_decomposition", lambda f: f(10, max_terms=MAX_TERMS_CEILING + 1)),
+    # strict layer bits: min(50, 1007 pool values) * (10**7 + 1) is just past
+    # 5 * (DEFAULT_SCAN_CEILING + 1), and so is 6 layers at the scan ceiling
+    ("scan_conjecture", lambda f: f(10**7, max_terms=50, strict_distinct=True)),
+    ("scan_with_witnesses", lambda f: f(10**7, max_terms=50, strict_distinct=True)),
+    ("min_term_decomposition", lambda f: f(10**7, max_terms=50, strict_distinct=True)),
+    (
+        "scan_conjecture",
+        lambda f: f(DEFAULT_SCAN_CEILING, max_terms=6, strict_distinct=True),
+    ),
     ("platonic_values_by_recurrence", lambda f: f(KIND, SEQUENCE_MAX_INDEX + 1)),
     ("difference_table", lambda f: f(KIND, DIFFERENCE_MAX_ROWS + 1)),
     ("empirical_period", lambda f: f(KIND, PERIOD_MAX_MODULUS + 1)),
@@ -89,3 +104,32 @@ def test_over_the_ceiling_call_is_refused_fast(name, call):
     with pytest.raises(ValueError, match="ceiling"):
         call(getattr(platonics, name))
     assert time.perf_counter() - started < 1.0
+
+
+class LayersStarted(Exception):
+    """Raised in place of the layer build: the scan got past its checks."""
+
+
+def refuse_layers(*args):
+    raise LayersStarted
+
+
+@pytest.mark.parametrize(
+    "n, max_terms, strict_distinct",
+    [
+        (10, MAX_TERMS_CEILING, False),
+        (10, MAX_TERMS_CEILING, True),
+        (10**7, 49, True),
+        (DEFAULT_SCAN_CEILING, 5, True),
+    ],
+)
+@pytest.mark.parametrize(
+    "name", ["scan_conjecture", "scan_with_witnesses", "min_term_decomposition"]
+)
+def test_budget_at_the_ceiling_is_accepted(
+    name, n, max_terms, strict_distinct, monkeypatch
+):
+    # the largest budgets allowed pass every check and reach the layer build
+    monkeypatch.setattr(pollock, "_layer_masks", refuse_layers)
+    with pytest.raises(LayersStarted):
+        getattr(platonics, name)(n, max_terms, strict_distinct)

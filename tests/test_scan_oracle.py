@@ -248,8 +248,7 @@ def flatten(blocks, block, values):
 
 def scan_blocks(n, max_terms, strict_distinct):
     """The walk's blocks over [1, n] from one scan, as the CLI gets them."""
-    _, _, values, masks = pollock._scan(n, max_terms, strict_distinct)
-    return pollock._witnesses(1, n + 1, n, masks, values, strict_distinct)
+    return pollock._scan(n, max_terms, strict_distinct)[2]
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 1000])
@@ -325,7 +324,7 @@ def strict_walk(values, limit, max_terms):
 
     masks = pollock._layer_masks(values, limit, max_terms, True)
     with mock.patch.object(pollock, "_strict_search", counting):
-        blocks = pollock._witnesses(1, limit + 1, limit, masks, values, True)
+        blocks = pollock._witnesses(1, limit, masks, values, True)
         found = [
             (m, tuple(values[i - 1] for i in row if i))
             for targets, columns in blocks
