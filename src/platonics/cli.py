@@ -60,7 +60,7 @@ KIND_NAMES = tuple(kind.value for kind in PlatonicKind)
 INT_TEXT_DIGITS = 3 * REPRESENT_MAX_DIGITS
 
 #: Largest index `verify-identities` checks; `verify-identities all
-#: 1..10000` takes about 1.6 to 2.2 s and 80 to 180 MB, by format.
+#: 1..10000` takes 1.9 to 2.6 s and 82 to 178 MB, by format (BENCH_14.json).
 IDENTITY_MAX_INDEX = 10_000
 
 

@@ -36,8 +36,8 @@ import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, compress, zip_longest
-from operator import ge, itemgetter, or_, sub
+from itertools import compress, zip_longest
+from operator import ge, itemgetter, sub
 
 from .sequences import PlatonicKind, platonic_value
 
@@ -49,10 +49,11 @@ DEFAULT_SCAN_CEILING = 100_000_000
 #: 21 MB with this budget, and at 97 MB with 10**6 terms.
 MAX_TERMS_CEILING = 200_000
 
-#: Most exact-count layer bits a strict scan may build, min(max_terms, pool
-#: size) * (n + 1): as many as the strict scan at the ceiling with the
-#: default budget of 5 terms.  Each layer is shifted once per pool value,
-#: so these bits cost time as well as memory.
+#: Most strict layer bits a scan may build, min(max_terms, pool size) *
+#: (n + 1): as many as the strict scan at the ceiling with the default
+#: budget of 5 terms.  The layers are one cumulative set built in place,
+#: and each is shifted once per pool value, so these bits cost time as
+#: well as memory.
 STRICT_BITS_CEILING = 5 * (DEFAULT_SCAN_CEILING + 1)
 
 
@@ -175,14 +176,15 @@ def _layer_masks(
     """
     full = (1 << (limit + 1)) - 1
     if strict_distinct:
-        # k distinct values need k pool values, so exact[k] = 0 beyond that
-        depth = min(max_terms, len(values))
-        exact = [1] + [0] * depth
+        # masks[k] is the sums of at most k distinct values seen so far: a
+        # sum leaves v out, or is v plus at most k - 1 values seen before.
+        # A layer can add nothing and the next still add sums, so there is
+        # no fixpoint stop
+        masks = [1] * (min(max_terms, len(values)) + 1)
         for v in values:
-            for k in range(depth, 0, -1):
-                exact[k] = (exact[k] | (exact[k - 1] << v)) & full
-        # a strict layer can add nothing and the next one still add sums
-        return list(accumulate(exact, or_))
+            for k in range(len(masks) - 1, 0, -1):
+                masks[k] = (masks[k] | (masks[k - 1] << v)) & full
+        return masks
     masks = [1]
     for mask in _default_layers(values, limit, max_terms, full):
         # with repeats, a layer that adds nothing is a fixpoint

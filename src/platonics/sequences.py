@@ -39,8 +39,8 @@ class PlatonicKind(Enum):
 RECURRENCE_COEFFICIENTS = (4, -6, 4, -1)
 
 #: Most values platonic_values_by_recurrence produces, and so the largest
-#: index `gen` accepts; `gen KIND 1..1000000 --check-recurrence` takes
-#: about 2.5 to 5 s and 210 to 240 MB, by format.
+#: index `gen` accepts; `gen dodecahedral 1..1000000 --check-recurrence`
+#: takes 1.3 to 3.2 s and 164 to 194 MB, by format (BENCH_14.json).
 SEQUENCE_MAX_INDEX = 1_000_000
 
 #: Most rows difference_table builds; `difftable KIND 100000` takes about

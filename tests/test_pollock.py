@@ -1,7 +1,9 @@
 """Decomposition search: pool, minimal witnesses, scans, verification."""
 
 import itertools
+import sys
 import time
+import tracemalloc
 from array import array
 
 import pytest
@@ -13,6 +15,7 @@ from platonics import (
     Witness,
     min_term_decomposition,
     platonic_pool,
+    platonic_value,
     scan_conjecture,
     scan_with_witnesses,
     verify_witness,
@@ -222,6 +225,11 @@ def shift_or_masks(values, limit, max_terms, strict_distinct):
     return masks
 
 
+def one_family(kind, limit):
+    values = (platonic_value(kind, i) for i in itertools.count(1))
+    return list(itertools.takewhile(lambda v: v <= limit, values))
+
+
 @pytest.mark.parametrize(
     "strict_distinct, sparsity",
     [(False, 1), (False, 16), (False, pollock.HOLE_SPARSITY), (True, 1)],
@@ -231,8 +239,12 @@ def test_layer_masks_equal_plain_shift_or(strict_distinct, sparsity, monkeypatch
     monkeypatch.setattr(pollock, "HOLE_SPARSITY", sparsity)
     cases = [(n, k) for n in (1, 2, 3, 8, 17, 100, 2000) for k in (1, 2, 3, 5)]
     cases += [(5000, 8), (100, 40), (30_000, 5)]
-    for n, max_terms in cases:
-        values = [entry.value for entry in platonic_pool(n)]
+    inputs = [([e.value for e in platonic_pool(n)], n, k) for n, k in cases]
+    if strict_distinct:
+        # one family up to 3000 has 9 to 25 values, so at 25 terms the
+        # strict depth is the whole pool
+        inputs += [(one_family(kind, 3000), 3000, 25) for kind in PlatonicKind]
+    for values, n, max_terms in inputs:
         want = shift_or_masks(values, n, max_terms, strict_distinct)
         got = pollock._layer_masks(values, n, max_terms, strict_distinct)
         # layering may stop early at a fixpoint; later masks repeat
@@ -252,6 +264,21 @@ def test_strict_masks_go_past_a_layer_that_adds_nothing():
     masks = pollock._layer_masks(values, 75, 8, True)
     assert masks == shift_or_masks(values, 75, 8, True)
     assert masks[5] == masks[4] and (masks[6] ^ masks[5]) == 1 << 68
+
+
+def test_strict_layers_hold_one_set():
+    # the strict build keeps its depth + 1 layers and never a second set
+    n, max_terms = 200_000, 25
+    values = [entry.value for entry in platonic_pool(n)]
+    depth = min(max_terms, len(values))
+    layer = sys.getsizeof((1 << (n + 1)) - 1)
+    tracemalloc.start()
+    try:
+        pollock._layer_masks(values, n, max_terms, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (depth + 1 + 8) * layer, peak / layer
 
 
 def test_scan_validation_and_ceiling():

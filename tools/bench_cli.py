@@ -9,11 +9,11 @@ alternate which tree goes first, so drift in the host's speed falls on both
 sides alike.  Per command and tree the output records the wall clock, the
 peak resident set size, the minor page faults and the system CPU seconds of
 every run, their median and quartiles, the exit codes, and the sha256 of
-stdout, which must agree between the trees for a refactor that keeps
-outputs byte-identical.  The peak is the child's own VmHWM, which it reads
-from /proc/self/status as it exits: the rusage maximum of a child starts at
-the RSS of the process that forked it, so it cannot show a peak below this
-script's own.  The faults and the system time come from the child's own
+stdout; both must agree between the trees for a refactor that keeps
+outputs byte-identical, and the script exits 1 where either differs.  The
+peak is the child's own VmHWM, which it reads from /proc/self/status as it
+exits: the rusage maximum of a child starts at the RSS of the process that
+forked it, so it cannot show a peak below this script's own.  The faults and the system time come from the child's own
 getrusage at the same point, so they leave out the fork and exec.
 
 The file is one JSON object, the schema every BENCH_<n>.json written with
@@ -147,14 +147,17 @@ def main(argv: list[str] | None = None) -> int:
         commands=[bench(trees, command, args.runs) for command in args.commands],
     )
     args.out.write_text(json.dumps(document, indent=1) + "\n")
-    mismatched = [
-        c["args"]
-        for c in document["commands"]
-        if c["trees"]["base"]["stdout_sha256"] != c["trees"]["change"]["stdout_sha256"]
-    ]
-    for command in mismatched:
-        print(f"stdout differs between the trees: {command}", file=sys.stderr)
-    return 1 if mismatched else 0
+    differs = False
+    for c in document["commands"]:
+        base, change = c["trees"]["base"], c["trees"]["change"]
+        for key, what in (
+            ("stdout_sha256", "stdout differs"),
+            ("exit", "exit codes differ"),
+        ):
+            if base[key] != change[key]:
+                print(f"{what} between the trees: {c['args']}", file=sys.stderr)
+                differs = True
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
