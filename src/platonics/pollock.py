@@ -10,11 +10,13 @@ repeated values.
 
 With repeats, each layer is built by the method that suits its density.
 Layers 1 and 2 are sparse, so their sums are enumerated into a bit-packed
-buffer.  A later layer shift-ors the previous one by pool values while
-holes (integers not yet reached) are dense, then tests each remaining hole
-against the values not yet shifted in.  Layering stops at the fixpoint,
-and failures are read from the set bits of the final complement.  Every
-layer is bit-identical to the plain shift-or over the whole pool.
+buffer.  A later layer is built one window of bits at a time, so that no
+temporary is the size of a layer: the window shift-ors in the previous
+layer's bits by pool values while its holes (integers not yet reached)
+are dense, then tests each remaining hole against the values not yet
+shifted in.  Layering stops at the fixpoint, and failures are read from
+the set bits of the final complement.  Every layer is bit-identical to the
+plain shift-or over the whole pool.
 
 A witness is recovered by walking back through the layers, taking the
 largest pool value that leaves a remainder in the layer below.  One walk,
@@ -186,7 +188,7 @@ def _layer_masks(
                 masks[k] = (masks[k] | (masks[k - 1] << v)) & full
         return masks
     masks = [1]
-    for mask in _default_layers(values, limit, max_terms, full):
+    for mask in _default_layers(values, limit, max_terms):
         # with repeats, a layer that adds nothing is a fixpoint
         if mask == masks[-1]:
             break
@@ -194,7 +196,7 @@ def _layer_masks(
     return masks
 
 
-def _default_layers(values: list[int], limit: int, max_terms: int, full: int):
+def _default_layers(values: list[int], limit: int, max_terms: int):
     """Yield masks[1..max_terms] with repeats allowed: layers 1 and 2 by
     enumerating sums into a bit-packed buffer, later ones by _grow_layer."""
     buf = bytearray(limit // 8 + 1)
@@ -216,50 +218,87 @@ def _default_layers(values: list[int], limit: int, max_terms: int, full: int):
     yield mask
     del buf  # the generator frame would keep it through the dense layers
     for _ in range(3, max_terms + 1):
-        mask = _grow_layer(mask, values, limit, full)
+        mask = _grow_layer(mask, values, limit)
         yield mask
 
 
-#: A layer stops shifting and tests its holes one by one once fewer than
-#: one integer in HOLE_SPARSITY is still unreached.  A shift-or costs a
-#: pass over all limit bits and removes a few percent of the holes; a hole
-#: costs tens of byte probes.  4096 is near the measured optimum at 10^6
-#: and 10^7, where the per-hole phase then starts with ~n/10^4 holes left.
+#: A window of a layer stops shifting and tests its holes one by one once
+#: fewer than one integer in HOLE_SPARSITY of the window is still unreached.
+#: A shift-or costs a pass over the window's bits and removes a few percent
+#: of its holes; a hole costs tens of byte probes.  4096 is near the measured
+#: optimum at 10^6 and 10^7, where the per-hole phase then starts with
+#: about one hole in 10^4 bits left.
 HOLE_SPARSITY = 4096
 
 #: Shift-or chunks grow 1, 2, 4, ... up to this many values between hole
-#: counts, since masking and counting cost about as much as one shift-or.
+#: counts, since masking and counting a window cost about as much as one
+#: shift-or into it.
 MAX_CHUNK = 16
 
+#: A dense layer is built this many bits at a time, so that no temporary of
+#: the build is the size of the layer; it must be a multiple of 8, so that a
+#: window is whole bytes.  Narrower windows cost more Python steps: on a
+#: 2-core host, scans of 10^7 took 0.64, 0.60 and 0.58 s with windows of
+#: 2**17, 2**18 and 2**19 bits, and 0.55 s with 2**20.  But a window of
+#: 2**20 bits is one window at 10^6, and its temporaries, ints of about
+#: 130 kB, sit at glibc's heap trim threshold: a fresh scan of 10^6 faulted
+#: 3,021 pages in 41 ms against 164 in 37 ms with 2**19 bits.
+LAYER_WINDOW = 1 << 19
 
-def _grow_layer(previous: int, values: list[int], limit: int, full: int) -> int:
-    """masks[k] from masks[k - 1] = previous, for k >= 3."""
-    mask = previous
-    holes = limit + 1 - mask.bit_count()
-    used = 0
-    chunk = 1
-    while holes * HOLE_SPARSITY >= limit and used < len(values):
-        for v in values[used : used + chunk]:
-            mask |= previous << v
-        mask &= full
-        used += chunk
-        chunk = min(2 * chunk, MAX_CHUNK)
-        holes = limit + 1 - mask.bit_count()
-    rest = values[used:]
-    if not rest or not holes:
-        return mask
+
+def _grow_layer(previous: int, values: list[int], limit: int) -> int:
+    """masks[k] from masks[k - 1] = previous, for k >= 3.
+
+    `previous` is cut once into block ints of LAYER_WINDOW bits, and the
+    layer is built one window of that width at a time, from the top down.
+    Window j starts from block j; while its holes are dense it ORs in,
+    value by value, the window of `previous` at offset -v, made from two
+    neighbouring blocks (_shifted_window).  Then each remaining hole is
+    tested against the values not yet shifted in.  Window j reads only
+    blocks up to j, so a block is freed once its window is done.
+    """
+    if previous.bit_count() == limit + 1:
+        return previous  # a full layer has nothing left to reach
+    width = LAYER_WINDOW
     previous_bytes = _mask_bytes(previous, limit)
-    reached = bytearray(limit // 8 + 1)
-    for h in _set_bits(_mask_bytes(mask ^ full, limit)):
-        # the bit probe is inlined: this loop is the phase's whole cost
-        for v in rest:
-            d = h - v
-            if d < 0:
-                break
-            if previous_bytes[d >> 3] >> (d & 7) & 1:
-                reached[h >> 3] |= 1 << (h & 7)
-                break
-    return mask | int.from_bytes(reached, "little")
+    out = bytearray(len(previous_bytes))
+    below = _block_ints(previous_bytes, limit, width)
+    for j in reversed(range(len(below))):
+        lo = j * width
+        hi = min(lo + width, limit + 1)
+        span = hi - lo
+        low = (1 << span) - 1
+        # values above the window's top shift nothing into it
+        stop = bisect_right(values, hi - 1)
+        mask = below[j]
+        holes = span - mask.bit_count()
+        used = 0
+        chunk = 1
+        while holes * HOLE_SPARSITY >= span and used < stop:
+            for v in values[used : min(used + chunk, stop)]:
+                mask |= _shifted_window(below, lo - v, width)
+            mask &= low
+            used += chunk
+            chunk = min(2 * chunk, MAX_CHUNK)
+            holes = span - mask.bit_count()
+        below[j] = None
+        size = (span + 7) >> 3
+        out[lo >> 3 : (lo >> 3) + size] = mask.to_bytes(size, "little")
+        rest = values[used:stop]
+        if not rest or not holes:
+            continue
+        for h in _set_bits((mask ^ low).to_bytes(size, "little")):
+            h += lo
+            # the bit probe is inlined: this loop is the phase's whole cost
+            for v in rest:
+                d = h - v
+                if d < 0:
+                    break
+                if previous_bytes[d >> 3] >> (d & 7) & 1:
+                    out[h >> 3] |= 1 << (h & 7)
+                    break
+    del previous_bytes  # so the result is not built beside it
+    return int.from_bytes(out, "little")
 
 
 #: Bit offsets set in each byte value, for walking sparse masks.
@@ -413,17 +452,28 @@ WITNESS_BLOCK = 1 << 16
 _LANE_BIT = [bytes.maketrans(b"01", bytes([0, 1 << b])) for b in range(8)]
 
 
-def _block_ints(layer: bytes, limit: int) -> list[int]:
-    """The bits 0..limit of a layer's bytes as ints of WITNESS_BLOCK bits;
-    entry j holds bits j * WITNESS_BLOCK up."""
-    width = WITNESS_BLOCK
-    low = (1 << width) - 1
+def _block_ints(layer: bytes, limit: int, width: int) -> list[int]:
+    """The bits 0..limit of a layer's bytes as ints of `width` bits; entry
+    j holds bits j * width up."""
+    # a layer narrower than one block gets no wider mask
+    low = (1 << min(width, limit + 1)) - 1
     return [
         int.from_bytes(layer[lo >> 3 : ((lo + width - 1) >> 3) + 1], "little")
         >> (lo & 7)
         & low
         for lo in range(0, limit + 1, width)
     ]
+
+
+def _shifted_window(blocks: list[int], s: int, width: int) -> int:
+    """Bits s up of the bitset cut into `blocks` of `width` bits (_block_ints),
+    as an int whose low `width` bits are exact; the bits above it may miss
+    some of the set's, so the caller masks them off.  A negative s shifts in
+    -s zeros."""
+    if s < 0:
+        return blocks[0] << -s
+    q, r = divmod(s, width)
+    return blocks[q] >> r | blocks[q + 1] << (width - r)
 
 
 def _first_terms(
@@ -440,7 +490,8 @@ def _first_terms(
     pass per layer k and pool value, largest value first: the targets of
     depth k still open are T, the hits are T & (L[k-1] << v), and each hit
     takes v and leaves T.  A pass's window of layer k - 1 starts at a bit
-    offset s and is two shifts and an OR of the block ints that hold it.
+    offset s and is two shifts and an OR of the block ints that hold it
+    (_shifted_window).
     The hits are not read out bit by bit: they are ORed into one bitplane
     per bit of the index, and at the end of the block each plane is spread
     into byte lanes (its binary text, translated) and the lanes are written
@@ -448,7 +499,7 @@ def _first_terms(
     which has about 2,500 values.
     """
     width = WITNESS_BLOCK
-    layers = [_block_ints(layer, limit) for layer in layer_bytes]
+    layers = [_block_ints(layer, limit, width) for layer in layer_bytes]
     table = bytearray(2 * (limit + 1))
     # the low byte of a native 16-bit lane comes first on a little-endian host
     offsets = (0, 1) if sys.byteorder == "little" else (1, 0)
@@ -468,12 +519,7 @@ def _first_terms(
                 s = lo - values[i]
                 if s + open_.bit_length() <= 0:
                     continue
-                if s >= 0:
-                    q, r = divmod(s, width)
-                    window = below[q] >> r | below[q + 1] << (width - r)
-                else:
-                    window = below[0] << -s
-                hits = open_ & window
+                hits = open_ & _shifted_window(below, s, width)
                 if hits:
                     open_ ^= hits
                     for bit in range((i + 1).bit_length()):

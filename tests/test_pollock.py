@@ -230,13 +230,18 @@ def one_family(kind, limit):
     return list(itertools.takewhile(lambda v: v <= limit, values))
 
 
+@pytest.mark.parametrize("window", [8, 64, 1024, pollock.LAYER_WINDOW])
 @pytest.mark.parametrize(
     "strict_distinct, sparsity",
     [(False, 1), (False, 16), (False, pollock.HOLE_SPARSITY), (True, 1)],
 )
-def test_layer_masks_equal_plain_shift_or(strict_distinct, sparsity, monkeypatch):
+def test_layer_masks_equal_plain_shift_or(
+    strict_distinct, sparsity, window, monkeypatch
+):
     # a low sparsity moves the switch to per-hole tests into small scans
     monkeypatch.setattr(pollock, "HOLE_SPARSITY", sparsity)
+    # windows far below n cut every dense layer into many windows
+    monkeypatch.setattr(pollock, "LAYER_WINDOW", window)
     cases = [(n, k) for n in (1, 2, 3, 8, 17, 100, 2000) for k in (1, 2, 3, 5)]
     cases += [(5000, 8), (100, 40), (30_000, 5)]
     inputs = [([e.value for e in platonic_pool(n)], n, k) for n, k in cases]
@@ -279,6 +284,23 @@ def test_strict_layers_hold_one_set():
     finally:
         tracemalloc.stop()
     assert peak <= (depth + 1 + 8) * layer, peak / layer
+
+
+def test_dense_layer_temporaries_stay_window_sized(monkeypatch):
+    # besides the result, a dense layer holds only the previous layer's
+    # bytes, their block ints and its output buffer at full size
+    monkeypatch.setattr(pollock, "LAYER_WINDOW", 1 << 14, raising=False)
+    n = 10**6
+    values = [entry.value for entry in platonic_pool(n)]
+    previous = pollock._layer_masks(values, n, 2, False)[2]
+    layer = sys.getsizeof((1 << (n + 1)) - 1)
+    tracemalloc.start()
+    try:
+        pollock._grow_layer(previous, values, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * layer, peak / layer
 
 
 def test_scan_validation_and_ceiling():

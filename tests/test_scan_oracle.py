@@ -87,6 +87,7 @@ def expected_report(n, max_terms):
     return histogram, tuple(failures)
 
 
+@pytest.mark.parametrize("window", [8, pollock.LAYER_WINDOW])
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=ORACLE_LIMIT),
@@ -98,8 +99,10 @@ def expected_report(n, max_terms):
 @example(n=ORACLE_LIMIT, max_terms=1)
 @example(n=ORACLE_LIMIT, max_terms=2)
 @example(n=ORACLE_LIMIT, max_terms=6)
-def test_scan_matches_dynamic_program(n, max_terms):
-    report = scan_conjecture(n, max_terms=max_terms)
+def test_scan_matches_dynamic_program(window, n, max_terms):
+    # a window of 8 bits cuts every dense layer of a scan into many windows
+    with mock.patch.object(pollock, "LAYER_WINDOW", window):
+        report = scan_conjecture(n, max_terms=max_terms)
     assert (report.histogram, report.failures) == expected_report(n, max_terms)
 
 
@@ -383,6 +386,15 @@ def test_scan_million_pinned():
     # re-derived once by an independent numpy array DP over closed forms
     report = scan_conjecture(10**6)
     assert report.histogram == {1: 465, 2: 89116, 3: 910387, 4: 32, 5: 0}
+    assert report.failures == ()
+
+
+def test_scan_ten_million_pinned():
+    # the largest scan here, 20 default windows per dense layer; the
+    # figures are perfbench's scan workload pins (perfbench/workloads.py
+    # PINNED), computed there by a separate array implementation
+    report = scan_conjecture(10**7)
+    assert report.histogram == {1: 1007, 2: 432644, 3: 9566094, 4: 255, 5: 0}
     assert report.failures == ()
 
 
