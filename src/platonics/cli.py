@@ -56,9 +56,6 @@ EXIT_COUNTEREXAMPLE = 5
 FORMATS = ("table", "json", "csv")
 KIND_NAMES = tuple(kind.value for kind in PlatonicKind)
 
-# Every value of a representation of a D-digit target is below 10**(3*D).
-INT_TEXT_DIGITS = 3 * REPRESENT_MAX_DIGITS
-
 #: Largest index `verify-identities` checks; `verify-identities all
 #: 1..10000` takes 1.9 to 2.6 s and 82 to 178 MB, by format (BENCH_14.json).
 IDENTITY_MAX_INDEX = 10_000
@@ -502,10 +499,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # Interpreters since 3.10.7 refuse int/str conversions past a digit
     # limit (4300 by default); lift it as far as `represent` needs, for this
-    # call only.  Zero means no limit, as on interpreters without one.
+    # call only.  `represent` converts its target and indices; its values
+    # are made as decimal text without int/str conversion.  An index can
+    # have one digit more than the largest target: base + 1 of the
+    # tetrahedral target -(10**10000 - 1) is 10**10000.  Zero means no
+    # limit, as on interpreters without one.
     saved_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if saved_limit:
-        sys.set_int_max_str_digits(max(saved_limit, INT_TEXT_DIGITS))
+        sys.set_int_max_str_digits(max(saved_limit, REPRESENT_MAX_DIGITS + 1))
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)

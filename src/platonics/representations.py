@@ -10,10 +10,10 @@ explicit four-term representation of m with base index m/M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import mul
 
-from .sequences import PlatonicKind, platonic_value
+from .sequences import PlatonicKind, _decimal_values, platonic_value
 
 #: Largest target of a representation, in decimal digits: represent_multiple
 #: refuses |target| >= 10**REPRESENT_MAX_DIGITS.
@@ -80,14 +80,35 @@ class Representation:
         return tuple(platonic_value(self.kind, i) for i in self.indices)
 
     def to_json_dict(self) -> dict:
+        """The representation with its values and target as decimal text;
+        raises ArithmeticError if the values do not combine to the target."""
+        target = str(self.target)
         return {
             "kind": self.kind.value,
             "base_index": self.base_index,
             "coefficients": list(self.coefficients),
             "indices": list(self.indices),
-            "values": [str(v) for v in self.values],
-            "target": str(self.target),
+            "values": _values_text(self, target),
+            "target": target,
         }
+
+
+def _values_text(rep: Representation, target: str) -> list[str]:
+    """Decimal text of rep's four values, made without `str` of an int.
+
+    The values are computed afresh in decimal arithmetic, so their text is
+    checked as represent_multiple checks the ints: the combination of the
+    Decimals must equal the target, whose text is parsed back.  Both steps
+    take time linear in the digits.
+    """
+    context, values = _decimal_values(rep.kind, rep.base_index)
+    total = reduce(context.add, map(context.multiply, rep.coefficients, values))
+    if total != context.create_decimal(target):
+        raise ArithmeticError(
+            f"combination for {rep.kind.value} evaluated to {total:f} in "
+            f"decimal, expected {target}"
+        )
+    return [format(value, "f") for value in values]
 
 
 def evaluate_representation(rep: Representation) -> int:

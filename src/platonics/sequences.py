@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 
 class PlatonicKind(Enum):
@@ -67,6 +68,64 @@ def exact_div(numerator: int, divisor: int) -> int:
             f"inexact division: {numerator} is not divisible by {divisor}"
         )
     return quotient
+
+
+def _cubic_coefficients(values: list[int]) -> tuple[int, int, int, int]:
+    """Coefficients (a0, a1, a2, a3) of the cubic that takes `values` at
+    0, 1, 2, 3, from its forward differences d1, d2, d3 there:
+    p(x) = v0 + d1*x + d2*x(x-1)/2 + d3*x(x-1)(x-2)/6."""
+    v0, v1, v2, v3 = values
+    d1, d2, d3 = v1 - v0, v2 - 2 * v1 + v0, v3 - 3 * v2 + 3 * v1 - v0
+    return (
+        v0,
+        exact_div(6 * d1 - 3 * d2 + 2 * d3, 6),
+        exact_div(d2 - d3, 2),
+        exact_div(d3, 6),
+    )
+
+
+# For each kind and shift j = 0..3, the coefficients of the numerator at
+# index b + j as a cubic in b, from the closed form's values at j..j+3.
+_SHIFTED_NUMERATORS = {
+    kind: tuple(
+        _cubic_coefficients([numerator(j + x) for x in range(4)]) for j in range(4)
+    )
+    for kind, (numerator, _) in _CLOSED_FORMS.items()
+}
+
+
+def _decimal_values(kind: PlatonicKind, base: int):
+    """The values at indices base..base+3 as exact Decimals, and the context
+    they were made in, which can combine them without rounding.
+
+    CPython converts an int to decimal text in time quadratic in its digits,
+    and these values have about three times the digits of `base`.  So only
+    `base` is converted, and each value is its numerator, a small-integer
+    combination of base^3, base^2, base and 1, divided by the family's
+    divisor, all in decimal arithmetic, whose text `format(value, "f")`
+    gives in linear time.  The context holds every value's digits, and it
+    traps Inexact and Rounded, so a division that leaves a remainder raises
+    `decimal.Inexact`, an ArithmeticError.  A negative base is a domain
+    error, as in platonic_value.
+    """
+    import decimal  # here, so that importing the package does not load it
+
+    if base < 0:
+        raise ValueError(f"index must be >= 0, got {base}")
+    b = decimal.Decimal(base)
+    context = decimal.Context(
+        prec=3 * (b.adjusted() + 1) + 12, traps=[decimal.Inexact, decimal.Rounded]
+    )
+    b2 = context.multiply(b, b)
+    powers = (1, b, b2, context.multiply(b2, b))
+    divisor = _CLOSED_FORMS[kind][1]
+    values = [
+        context.divide(
+            reduce(context.add, map(context.multiply, coefficients, powers)), divisor
+        )
+        for coefficients in _SHIFTED_NUMERATORS[kind]
+    ]
+    return context, values
 
 
 def platonic_value(kind: PlatonicKind, n: int) -> int:

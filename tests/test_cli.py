@@ -152,6 +152,21 @@ def test_represent_not_divisible_exit_3(capsys):
     assert "81" in err
 
 
+def represent_payload(fmt, out):
+    """The json object of `represent` output, or the same keys and values
+    read back from its csv header and row (the list cells split at `;`)."""
+    if fmt == "json":
+        return json.loads(out)
+    header, row = out.splitlines()
+    payload = dict(zip(header.split(","), row.split(",")))
+    payload["base_index"] = int(payload["base_index"])
+    for key in ("coefficients", "indices"):
+        payload[key] = [int(item) for item in payload[key].split(";")]
+    payload["values"] = payload["values"].split(";")
+    return payload
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize(
     "kind, target",
     [
@@ -160,15 +175,15 @@ def test_represent_not_divisible_exit_3(capsys):
     ],
     ids=["dodecahedral-4400-digits", "tetrahedral-ceiling"],
 )
-def test_represent_json_past_the_default_digit_limit(kind, target, capsys):
+def test_represent_text_past_the_default_digit_limit(kind, target, fmt, capsys):
     limit = int_text_limit()
-    code, out, err = run_cli(["represent", kind, target, "--format", "json"], capsys)
+    code, out, err = run_cli(["represent", kind, target, "--format", fmt], capsys)
     assert (code, err) == (0, "")
     assert int_text_limit() == limit
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        payload = json.loads(out)
+        payload = represent_payload(fmt, out)
         rep = Representation(
             kind=PlatonicKind(payload["kind"]),
             base_index=payload["base_index"],
@@ -176,6 +191,7 @@ def test_represent_json_past_the_default_digit_limit(kind, target, capsys):
             target=int(payload["target"]),
         )
         assert payload["target"] == target
+        assert payload["indices"] == list(rep.indices)
         assert payload["values"] == [str(v) for v in rep.values]
         assert evaluate_representation(rep) == rep.target
     finally:
@@ -390,6 +406,37 @@ def test_wrong_combination_coefficients_exit_4(monkeypatch, capsys):
     assert code == cli.EXIT_INTERNAL
     assert out == ""
     assert err.startswith("error: combination for tetrahedral evaluated to ")
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [
+        (6, "error: combination for tetrahedral evaluated to 3 in decimal, "),
+        (1, "error: "),
+    ],
+    ids=["wrong-value", "inexact-division"],
+)
+def test_wrong_decimal_values_exit_4(shift, message, monkeypatch, capsys):
+    # The decimal rendering computes the values afresh from its own table;
+    # a wrong entry there must not reach the output.  Off by 6, the first
+    # tetrahedral value is off by one and the combination by 3; off by 1,
+    # the division by 6 is inexact.
+    shifted = sequences._SHIFTED_NUMERATORS[PlatonicKind.TETRAHEDRAL]
+    (a0, *rest), *later = shifted
+    monkeypatch.setitem(
+        sequences._SHIFTED_NUMERATORS,
+        PlatonicKind.TETRAHEDRAL,
+        ((a0 + shift, *rest), *later),
+    )
+    argv = ["represent", "tetrahedral", "0"]
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli([*argv, "--format", fmt], capsys)
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err.startswith(message)
+    # the table has no values, so it is still written
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.startswith("0 = 3*tetrahedral(0) - 8*tetrahedral(1) ")
 
 
 def test_recurrence_disagreement_exits_4(monkeypatch, capsys):

@@ -1,8 +1,13 @@
 """Four-term combination representations: round trips and divisibility."""
 
+import random
+import sys
 import time
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platonics import (
     COMBINATION_COEFFICIENTS,
@@ -134,6 +139,23 @@ def test_evaluate_hand_built():
     assert evaluate_representation(rep) == 1 + 4 + 10 + 20 == 35
 
 
+def test_json_dict_checks_hand_built_representations():
+    # the values' text is checked as represent_multiple checks the ints
+    rep = Representation(
+        kind=PlatonicKind.TETRAHEDRAL,
+        base_index=1,
+        coefficients=(1, 1, 1, 1),
+        target=36,
+    )
+    with pytest.raises(ArithmeticError, match="evaluated to 35 in decimal"):
+        rep.to_json_dict()
+    rep = Representation(
+        kind=PlatonicKind.CUBE, base_index=-1, coefficients=(2, -5, 4, -1), target=-6
+    )
+    with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+        rep.to_json_dict()
+
+
 def test_round_trip_contract_examples():
     assert evaluate_representation(represent_tetrahedral(42)) == 42
     assert evaluate_representation(
@@ -173,3 +195,53 @@ def test_largest_allowed_target_round_trips(kind):
         rep = represent_multiple(kind, target)
         assert rep.base_index == largest // modulus
         assert evaluate_representation(rep) == target
+
+
+@contextmanager
+def int_text_unlimited():
+    """Lift the interpreter's int/str digit limit, so that `str` of the
+    values can serve as the oracle of their decimal text."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def assert_values_text_is_str(kind, target):
+    rep = represent_multiple(kind, target)
+    with int_text_unlimited():
+        assert rep.to_json_dict()["values"] == [str(v) for v in rep.values]
+
+
+@pytest.mark.parametrize("kind", list(PlatonicKind))
+def test_values_text_matches_str_at_every_size(kind):
+    """The decimal text of the values equals `str` of the int values, for
+    both signs, at every digit count up to 60, around the default 4300-digit
+    limit and at the ceiling: for the largest multiple of the modulus with
+    that many digits and a seeded one."""
+    modulus = COMBINATION_MODULUS[kind]
+    rng = random.Random(f"values-text-{kind.value}")
+    assert_values_text_is_str(kind, 0)
+    for digits in [*range(1, 61), 4299, 4300, 4301, REPRESENT_MAX_DIGITS]:
+        largest = (10**digits - 1) // modulus * modulus
+        seeded = rng.randrange(10 ** (digits - 1), 10**digits) // modulus * modulus
+        for target in (largest, seeded):
+            assert_values_text_is_str(kind, target)
+            assert_values_text_is_str(kind, -target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(PlatonicKind)),
+    sign=st.sampled_from([1, -1]),
+    digits=st.integers(1, 3000),
+    data=st.data(),
+)
+def test_values_text_matches_str_property(kind, sign, digits, data):
+    value = data.draw(st.integers(0, 10**digits - 1), label="value")
+    modulus = COMBINATION_MODULUS[kind]
+    assert_values_text_is_str(kind, sign * (value // modulus * modulus))
