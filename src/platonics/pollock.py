@@ -10,13 +10,16 @@ repeated values.
 
 With repeats, each layer is built by the method that suits its density.
 Layers 1 and 2 are sparse, so their sums are enumerated into a bit-packed
-buffer.  A later layer is built one window of bits at a time, so that no
-temporary is the size of a layer: the window shift-ors in the previous
-layer's bits by pool values while its holes (integers not yet reached)
-are dense, then tests each remaining hole against the values not yet
-shifted in.  Layering stops at the fixpoint, and failures are read from
-the set bits of the final complement.  Every layer is bit-identical to the
-plain shift-or over the whole pool.
+buffer, the pair sums through per-residue tables of byte offsets and bits.
+A later layer is built one window of bits at a time, so that no temporary
+is the size of a layer: the window shift-ors in the previous layer's bits
+by pool values while its holes (integers not yet reached) are dense, most
+values with one shift of an int that holds the window's block and the one
+below it, then tests each remaining hole against the values not yet
+shifted in.  Layering stops at the fixpoint.  A final layer that is full
+leaves no failures; otherwise they are read from the set bits of its
+complement, found a nonzero byte at a time.  Every layer is bit-identical
+to the plain shift-or over the whole pool.
 
 A witness is recovered by walking back through the layers, taking the
 largest pool value that leaves a remainder in the layer below.  One walk,
@@ -33,7 +36,6 @@ rebuilt by a depth-first search per target that the layers prune.
 
 from __future__ import annotations
 
-import re
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
@@ -207,16 +209,23 @@ def _default_layers(values: list[int], limit: int, max_terms: int):
     yield mask
     if max_terms < 2:
         return
+    # v = 8q + r puts v + w at byte q + ((w + r) >> 3), bit (w + r) & 7, so
+    # two tables per residue r, of every w's byte offset and bit, serve each
+    # v of that residue
+    offsets = [[(w + r) >> 3 for w in values] for r in range(8)]
+    bits = [[1 << ((w + r) & 7) for w in values] for r in range(8)]
     for i, v in enumerate(values):
         top = limit - v
         if v > top:
             break
-        for w in values[i : bisect_right(values, top)]:
-            s = v + w
-            buf[s >> 3] |= 1 << (s & 7)
+        stop = bisect_right(values, top)
+        q, r = v >> 3, v & 7
+        for b, m in zip(offsets[r][i:stop], bits[r][i:stop]):
+            buf[q + b] |= m
     mask = int.from_bytes(buf, "little")
     yield mask
-    del buf  # the generator frame would keep it through the dense layers
+    # the generator frame would keep these through the dense layers
+    del buf, offsets, bits
     for _ in range(3, max_terms + 1):
         mask = _grow_layer(mask, values, limit)
         yield mask
@@ -252,10 +261,13 @@ def _grow_layer(previous: int, values: list[int], limit: int) -> int:
     `previous` is cut once into block ints of LAYER_WINDOW bits, and the
     layer is built one window of that width at a time, from the top down.
     Window j starts from block j; while its holes are dense it ORs in,
-    value by value, the window of `previous` at offset -v, made from two
-    neighbouring blocks (_shifted_window).  Then each remaining hole is
-    tested against the values not yet shifted in.  Window j reads only
-    blocks up to j, so a block is freed once its window is done.
+    value by value, the window of `previous` at offset -v.  For v up to the
+    width that is one right shift of src = block j << width | block j - 1
+    (0 below block 0), which the window builds once it starts shifting; a
+    larger v takes two blocks further down (_shifted_window).  Then each
+    remaining hole is tested against the values not yet shifted in.
+    Window j reads only blocks up to j, so a block is freed once its window
+    is done.
     """
     if previous.bit_count() == limit + 1:
         return previous  # a full layer has nothing left to reach
@@ -263,6 +275,8 @@ def _grow_layer(previous: int, values: list[int], limit: int) -> int:
     previous_bytes = _mask_bytes(previous, limit)
     out = bytearray(len(previous_bytes))
     below = _block_ints(previous_bytes, limit, width)
+    # values[:near] shift into a window from its own block and the one below
+    near = bisect_right(values, width)
     for j in reversed(range(len(below))):
         lo = j * width
         hi = min(lo + width, limit + 1)
@@ -274,8 +288,16 @@ def _grow_layer(previous: int, values: list[int], limit: int) -> int:
         holes = span - mask.bit_count()
         used = 0
         chunk = 1
+        src = None
         while holes * HOLE_SPARSITY >= span and used < stop:
-            for v in values[used : min(used + chunk, stop)]:
+            if src is None:
+                # bit t of src is bit lo - width + t of previous, so the
+                # window at offset lo - v is src >> (width - v)
+                src = below[j] << width | (below[j - 1] if j else 0)
+            end = min(used + chunk, stop)
+            for v in values[used : min(end, near)]:
+                mask |= src >> (width - v)
+            for v in values[max(used, near) : end]:
                 mask |= _shifted_window(below, lo - v, width)
             mask &= low
             used += chunk
@@ -306,16 +328,24 @@ _BYTE_BITS = tuple(
     tuple(b for b in range(8) if byte >> b & 1) for byte in range(256)
 )
 
-_NONZERO_BYTE = re.compile(rb"[^\x00]")
+#: Maps byte 0 to 0 and every other byte to 1.
+_NONZERO_FLAG = bytes([0] + [1] * 255)
 
 
 def _set_bits(mask_bytes: bytes) -> list[int]:
-    """Indices of the set bits of a little-endian bitset, ascending."""
+    """Indices of the set bits of a little-endian bitset, ascending.
+
+    The bytes are mapped to 0/1 flags, and bytes.find (memchr) steps from
+    one nonzero byte to the next, so a run of zero bytes costs no Python
+    step.
+    """
+    flags = mask_bytes.translate(_NONZERO_FLAG)
     found = []
-    for match in _NONZERO_BYTE.finditer(mask_bytes):
-        i = match.start()
+    i = flags.find(1)
+    while i >= 0:
         base = i << 3
         found.extend(base + b for b in _BYTE_BITS[mask_bytes[i]])
+        i = flags.find(1, i + 1)
     return found
 
 
@@ -384,12 +414,17 @@ def _scan(
         )
     masks = _layer_masks(values, n, max_terms, strict_distinct)
     built = len(masks) - 1
+    # the layers are cumulative, so layer k adds its count less the one below
+    counts = [mask.bit_count() for mask in masks]
     histogram = {
-        k: (masks[k] ^ masks[k - 1]).bit_count() if k <= built else 0
+        k: counts[k] - counts[k - 1] if k <= built else 0
         for k in range(1, max_terms + 1)
     }
-    full = (1 << (n + 1)) - 1
-    failures = tuple(_set_bits(_mask_bytes(masks[built] ^ full, n)))
+    failures = ()
+    if counts[built] <= n:
+        # a final layer that holds all n + 1 bits leaves nothing to read
+        full = (1 << (n + 1)) - 1
+        failures = tuple(_set_bits(_mask_bytes(masks[built] ^ full, n)))
     report = ScanReport(
         n=n,
         max_terms=max_terms,

@@ -7,6 +7,8 @@ import tracemalloc
 from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from platonics import (
     DEFAULT_SCAN_CEILING,
@@ -230,7 +232,7 @@ def one_family(kind, limit):
     return list(itertools.takewhile(lambda v: v <= limit, values))
 
 
-@pytest.mark.parametrize("window", [8, 64, 1024, pollock.LAYER_WINDOW])
+@pytest.mark.parametrize("window", [8, 64, 488, 1024, pollock.LAYER_WINDOW])
 @pytest.mark.parametrize(
     "strict_distinct, sparsity",
     [(False, 1), (False, 16), (False, pollock.HOLE_SPARSITY), (True, 1)],
@@ -240,7 +242,9 @@ def test_layer_masks_equal_plain_shift_or(
 ):
     # a low sparsity moves the switch to per-hole tests into small scans
     monkeypatch.setattr(pollock, "HOLE_SPARSITY", sparsity)
-    # windows far below n cut every dense layer into many windows
+    # windows far below n cut every dense layer into many windows; 489 is
+    # octahedral, so a window of 488 bits meets the smallest value whose
+    # shift reads past the block below its own
     monkeypatch.setattr(pollock, "LAYER_WINDOW", window)
     cases = [(n, k) for n in (1, 2, 3, 8, 17, 100, 2000) for k in (1, 2, 3, 5)]
     cases += [(5000, 8), (100, 40), (30_000, 5)]
@@ -301,6 +305,33 @@ def test_dense_layer_temporaries_stay_window_sized(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * layer, peak / layer
+
+
+def set_bits_by_bit(mask_bytes):
+    """The plain definition: test every bit of every byte."""
+    return [
+        8 * i + b
+        for i, byte in enumerate(mask_bytes)
+        for b in range(8)
+        if byte >> b & 1
+    ]
+
+
+# sparse bitsets: runs of up to 5000 zero bytes between short runs of any bytes
+SPARSE_BYTES = st.lists(
+    st.tuples(st.integers(0, 5000), st.binary(max_size=4)), max_size=8
+).map(lambda runs: b"".join(bytes(zeros) + chunk for zeros, chunk in runs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_bytes=st.binary(max_size=300) | SPARSE_BYTES)
+@example(mask_bytes=b"")
+@example(mask_bytes=bytes(1000))
+@example(mask_bytes=b"\xff" * 1000)
+@example(mask_bytes=bytes(range(256)))  # every byte value once
+@example(mask_bytes=bytes(10_000) + b"\x80")  # a lone bit in the last byte
+def test_set_bits_matches_a_per_bit_loop(mask_bytes):
+    assert pollock._set_bits(mask_bytes) == set_bits_by_bit(mask_bytes)
 
 
 def test_scan_validation_and_ceiling():
