@@ -11,15 +11,17 @@ repeated values.
 With repeats, each layer is built by the method that suits its density.
 Layers 1 and 2 are sparse, so their sums are enumerated into a bit-packed
 buffer, the pair sums through per-residue tables of byte offsets and bits.
-A later layer is built one window of bits at a time, so that no temporary
-is the size of a layer: the window shift-ors in the previous layer's bits
-by pool values while its holes (integers not yet reached) are dense, most
-values with one shift of an int that holds the window's block and the one
-below it, then tests each remaining hole against the values not yet
-shifted in.  Layering stops at the fixpoint.  A final layer that is full
-leaves no failures; otherwise they are read from the set bits of its
-complement, found a nonzero byte at a time.  Every layer is bit-identical
-to the plain shift-or over the whole pool.
+A later layer whose holes (integers not yet reached) are dense is built
+one window of bits at a time, so that no temporary is the size of a layer:
+the window shift-ors in the previous layer's bits by pool values while its
+holes are dense, the values nearest the window's start first, so that
+their bits come from the dense bottom of the previous layer, then tests
+each remaining hole against the values not yet shifted in.  A layer whose
+holes are already sparse tests them all at once.  Layering stops at the
+fixpoint.  A final layer that is full leaves no failures; otherwise they
+are read from the set bits of its complement, found a nonzero byte at a
+time.  Every layer is bit-identical to the plain shift-or over the whole
+pool.
 
 A witness is recovered by walking back through the layers, taking the
 largest pool value that leaves a remainder in the layer below.  One walk,
@@ -258,69 +260,98 @@ LAYER_WINDOW = 1 << 19
 def _grow_layer(previous: int, values: list[int], limit: int) -> int:
     """masks[k] from masks[k - 1] = previous, for k >= 3.
 
-    `previous` is cut once into block ints of LAYER_WINDOW bits, and the
-    layer is built one window of that width at a time, from the top down.
-    Window j starts from block j; while its holes are dense it ORs in,
-    value by value, the window of `previous` at offset -v.  For v up to the
-    width that is one right shift of src = block j << width | block j - 1
-    (0 below block 0), which the window builds once it starts shifting; a
-    larger v takes two blocks further down (_shifted_window).  Then each
-    remaining hole is tested against the values not yet shifted in.
-    Window j reads only blocks up to j, so a block is freed once its window
-    is done.
+    A layer whose holes (integers not yet reached) are sparse over the whole
+    range finds them once, from the complement of the previous layer's
+    bytes, and tests each against the values (_fill_holes).
+
+    A denser layer is built one window of LAYER_WINDOW bits at a time, from
+    the top down, out of the previous layer cut into block ints of that
+    width; a layer of one window is its own only block.  Window j, whose
+    first bit is lo, starts from block j.  While its holes are dense it ORs
+    in, value by value, the window of `previous` at offset s = lo - v: a
+    value v <= lo as one right shift of a pair int that joins blocks
+    s // width and s // width + 1, a larger v as block 0 shifted left.  One
+    pair int is alive at a time, with a copy cut to 1.5 widths for the
+    shifts that would leave more bits than that above the window.  The
+    values nearest lo go first, since they read the bottom of the previous
+    layer, where its sums are densest, so each shift fills more holes.
+    Windows 0 and 1 take the values smallest first instead: that already
+    reads blocks 0 and 1, and their shifts by values near lo would be
+    longer.  Each remaining hole is then tested against the values not
+    shifted in, in the same order.  Window j reads only blocks up to j, so
+    a block is freed once its window is done.
     """
-    if previous.bit_count() == limit + 1:
+    unreached = limit + 1 - previous.bit_count()
+    if not unreached:
         return previous  # a full layer has nothing left to reach
-    width = LAYER_WINDOW
     previous_bytes = _mask_bytes(previous, limit)
+    if unreached * HOLE_SPARSITY < limit + 1:
+        # the complement's bits past the limit are not holes
+        holes = _set_bits(previous_bytes, complement=True)
+        out = bytearray(previous_bytes)
+        _fill_holes(out, previous_bytes, holes[: bisect_right(holes, limit)], values)
+        del previous_bytes  # so the result is not built beside it
+        return int.from_bytes(out, "little")
+    width = LAYER_WINDOW
+    cut = (1 << (width + width // 2)) - 1
     out = bytearray(len(previous_bytes))
-    below = _block_ints(previous_bytes, limit, width)
-    # values[:near] shift into a window from its own block and the one below
-    near = bisect_right(values, width)
+    below = [previous] if limit < width else _block_ints(previous_bytes, limit, width)
     for j in reversed(range(len(below))):
         lo = j * width
         hi = min(lo + width, limit + 1)
         span = hi - lo
         low = (1 << span) - 1
         # values above the window's top shift nothing into it
-        stop = bisect_right(values, hi - 1)
+        order = values[: bisect_right(values, hi - 1)]
+        if j > 1:
+            order.sort(key=lambda v: abs(v - lo))
         mask = below[j]
         holes = span - mask.bit_count()
         used = 0
         chunk = 1
-        src = None
-        while holes * HOLE_SPARSITY >= span and used < stop:
-            if src is None:
-                # bit t of src is bit lo - width + t of previous, so the
-                # window at offset lo - v is src >> (width - v)
-                src = below[j] << width | (below[j - 1] if j else 0)
-            end = min(used + chunk, stop)
-            for v in values[used : min(end, near)]:
-                mask |= src >> (width - v)
-            for v in values[max(used, near) : end]:
-                mask |= _shifted_window(below, lo - v, width)
+        pair_at = None
+        while holes * HOLE_SPARSITY >= span and used < len(order):
+            for v in order[used : used + chunk]:
+                s = lo - v
+                if s < 0:
+                    mask |= below[0] << -s
+                    continue
+                q, r = divmod(s, width)
+                if q != pair_at:
+                    # bit t of the pair is bit q * width + t of previous; a
+                    # shift by r < width / 2 takes it cut to 1.5 widths, so
+                    # that no shift makes more than 1.5 widths of bits
+                    pair_at, pair = q, below[q + 1] << width | below[q]
+                    short = pair & cut
+                mask |= (short if 2 * r < width else pair) >> r
             mask &= low
             used += chunk
             chunk = min(2 * chunk, MAX_CHUNK)
             holes = span - mask.bit_count()
-        below[j] = None
+        below[j] = pair = short = None
         size = (span + 7) >> 3
         out[lo >> 3 : (lo >> 3) + size] = mask.to_bytes(size, "little")
-        rest = values[used:stop]
-        if not rest or not holes:
-            continue
-        for h in _set_bits((mask ^ low).to_bytes(size, "little")):
-            h += lo
-            # the bit probe is inlined: this loop is the phase's whole cost
-            for v in rest:
-                d = h - v
-                if d < 0:
-                    break
-                if previous_bytes[d >> 3] >> (d & 7) & 1:
-                    out[h >> 3] |= 1 << (h & 7)
-                    break
+        if holes and used < len(order):
+            window_holes = _set_bits((mask ^ low).to_bytes(size, "little"))
+            _fill_holes(
+                out, previous_bytes, [lo + h for h in window_holes], order[used:]
+            )
     del previous_bytes  # so the result is not built beside it
     return int.from_bytes(out, "little")
+
+
+def _fill_holes(
+    out: bytearray, previous_bytes: bytes, holes: list[int], values: list[int]
+) -> None:
+    """Set in `out` each of the holes h that some v of `values`, taken in
+    their order, reaches with h - v set in `previous_bytes`."""
+    for h in holes:
+        # the bit probe is inlined: this loop is the phase's whole cost
+        for v in values:
+            d = h - v
+            if d >= 0 and previous_bytes[d >> 3] >> (d & 7) & 1:
+                out[h >> 3] |= 1 << (h & 7)
+                break
 
 
 #: Bit offsets set in each byte value, for walking sparse masks.
@@ -332,19 +363,24 @@ _BYTE_BITS = tuple(
 _NONZERO_FLAG = bytes([0] + [1] * 255)
 
 
-def _set_bits(mask_bytes: bytes) -> list[int]:
-    """Indices of the set bits of a little-endian bitset, ascending.
+def _set_bits(mask_bytes: bytes, complement: bool = False) -> list[int]:
+    """Indices of the set bits of a little-endian bitset, ascending; with
+    `complement`, of the set bits of its complement, all its bytes long.
 
     The bytes are mapped to 0/1 flags, and bytes.find (memchr) steps from
-    one nonzero byte to the next, so a run of zero bytes costs no Python
-    step.
+    one flagged byte to the next, so a run of zero bytes (of 0xFF bytes for
+    the complement) costs no Python step.  The complement's tables are the
+    plain ones read from the other end, so no complemented copy is made.
     """
-    flags = mask_bytes.translate(_NONZERO_FLAG)
+    flag, bits = _NONZERO_FLAG, _BYTE_BITS
+    if complement:
+        flag, bits = flag[::-1], bits[::-1]
+    flags = mask_bytes.translate(flag)
     found = []
     i = flags.find(1)
     while i >= 0:
         base = i << 3
-        found.extend(base + b for b in _BYTE_BITS[mask_bytes[i]])
+        found.extend(base + b for b in bits[mask_bytes[i]])
         i = flags.find(1, i + 1)
     return found
 
@@ -633,15 +669,19 @@ def _witnesses(
     by target.
     """
     built = len(masks) - 1
-    # the deepest layer holds every target the walk must yield
-    reached = _mask_bytes(masks[built], limit)
-    layer_bytes = (_mask_bytes(mask, limit) for mask in masks)
     if strict_distinct:
-        # the fallback searches the layers' bytes for the whole stream
-        layer_bytes = list(layer_bytes)
+        # the fallback searches the layers' bytes for the whole stream; each
+        # mask gives way to its bytes, so no layer is held twice
+        for k in range(built + 1):
+            masks[k] = _mask_bytes(masks[k], limit)
+        layer_bytes = masks
         search = _strict_search(values, layer_bytes)
-    # once _first_terms has cut the layers, nothing holds the masks, so they
-    # are gone before it allocates the table
+    else:
+        # once _first_terms has cut the layers, nothing holds the masks, so
+        # they are gone before it allocates the table
+        layer_bytes = (_mask_bytes(mask, limit) for mask in masks)
+    # the deepest layer holds every target the walk must yield
+    reached = masks[built] if strict_distinct else _mask_bytes(masks[built], limit)
     del masks
     first = _first_terms(layer_bytes, values, limit)
     # the table holds 1 + a pool index, so that 0 can mean "unreached"

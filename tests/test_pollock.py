@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -261,6 +262,62 @@ def test_layer_masks_equal_plain_shift_or(
         assert all(mask == got[-1] for mask in want[len(got) :])
 
 
+@st.composite
+def ascending_pools(draw):
+    limit = draw(st.integers(min_value=1, max_value=2000))
+    values = draw(st.sets(st.integers(1, limit), min_size=1, max_size=40))
+    return sorted(values), limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pool=ascending_pools(),
+    max_terms=st.integers(min_value=1, max_value=6),
+    window=st.sampled_from([8, 64, 488, 1024]),
+    sparsity=st.sampled_from([1, 4, 16, pollock.HOLE_SPARSITY]),
+)
+# a window that shifts many values reads pair ints one, two and more blocks
+# below it and block 0 shifted left, in the order nearest its first bit
+@example(
+    pool=([1, 3, 4, 5, 9, 40, 41, 100], 400),
+    max_terms=6,
+    window=8,
+    sparsity=pollock.HOLE_SPARSITY,
+)
+# a low sparsity leaves holes whose only value is the next one in the
+# window's order, so the per-hole tests must start from it
+@example(
+    pool=([3, 14, 15, 32, 34, 79, 102, 104, 155, 163, 193, 220], 246),
+    max_terms=6,
+    window=8,
+    sparsity=4,
+)
+# after two dense layers, holes under one in 16 send layer 5 down the
+# sparse path
+@example(
+    pool=([1, 5, 8, 13, 24, 64, 81, 92, 111, 132, 136, 149, 262], 354),
+    max_terms=5,
+    window=64,
+    sparsity=16,
+)
+# one window: the layer is its own only block
+@example(
+    pool=([2, 3, 7], 1000), max_terms=6, window=1024, sparsity=pollock.HOLE_SPARSITY
+)
+def test_layer_masks_match_shift_or_on_random_pools(
+    pool, max_terms, window, sparsity
+):
+    values, limit = pool
+    with mock.patch.object(pollock, "LAYER_WINDOW", window), mock.patch.object(
+        pollock, "HOLE_SPARSITY", sparsity
+    ):
+        got = pollock._layer_masks(values, limit, max_terms, False)
+    want = shift_or_masks(values, limit, max_terms, False)
+    # layering may stop early at a fixpoint; later masks repeat
+    assert got == want[: len(got)]
+    assert all(mask == got[-1] for mask in want[len(got) :])
+
+
 def test_layers_stop_at_the_fixpoint():
     # every m <= 100 needs at most three terms, so layer 4 adds nothing
     values = [entry.value for entry in platonic_pool(100)]
@@ -288,6 +345,33 @@ def test_strict_layers_hold_one_set():
     finally:
         tracemalloc.stop()
     assert peak <= (depth + 1 + 8) * layer, peak / layer
+
+
+def test_strict_walk_holds_each_layer_once(monkeypatch):
+    # the walk turns each strict mask into its bytes in place, so up to its
+    # first-term table it never holds a layer as an int and as bytes at once
+    n, max_terms = 200_000, 25
+    values = [entry.value for entry in platonic_pool(n)]
+    depth = min(max_terms, len(values))
+    layer = sys.getsizeof((1 << (n + 1)) - 1)
+
+    class Cut(Exception):
+        pass
+
+    def cut(*args):
+        raise Cut(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(pollock, "_first_terms", cut)
+    tracemalloc.start()
+    try:
+        masks = pollock._layer_masks(values, n, max_terms, True)
+        tracemalloc.reset_peak()
+        with pytest.raises(Cut) as stopped:
+            next(pollock._witnesses(1, n, masks, values, True))
+    finally:
+        tracemalloc.stop()
+    [peak] = stopped.value.args
+    assert peak <= (depth + 1 + 4) * layer, peak / layer
 
 
 def test_dense_layer_temporaries_stay_window_sized(monkeypatch):
@@ -331,7 +415,11 @@ SPARSE_BYTES = st.lists(
 @example(mask_bytes=bytes(range(256)))  # every byte value once
 @example(mask_bytes=bytes(10_000) + b"\x80")  # a lone bit in the last byte
 def test_set_bits_matches_a_per_bit_loop(mask_bytes):
-    assert pollock._set_bits(mask_bytes) == set_bits_by_bit(mask_bytes)
+    want = set_bits_by_bit(mask_bytes)
+    assert pollock._set_bits(mask_bytes) == want
+    # where the mask is sparse its complement is mostly 0xFF bytes
+    complement = bytes(255 - byte for byte in mask_bytes)
+    assert pollock._set_bits(complement, complement=True) == want
 
 
 def test_scan_validation_and_ceiling():
