@@ -2,11 +2,12 @@
 
 The pool is the union of the five families' values up to a limit, with the
 provenance of every value kept so a witness can be re-derived and checked
-independently.  Reachability runs in layers over bitsets (Python ints), one
-cumulative layer per additional term, so min-term counts are exact and the
-whole scan is deterministic.  By default values may repeat inside a witness
-(the five families are what must differ); strict-distinct mode forbids
-repeated values.
+independently.  Reachability runs in layers, one cumulative layer per
+additional term, so min-term counts are exact and the whole scan is
+deterministic.  A layer is a bitset stored as little-endian bytes from its
+build to the walk, and the build returns its bit count with it.  By default
+values may repeat inside a witness (the five families are what must
+differ); strict-distinct mode forbids repeated values.
 
 With repeats, each layer is built by the method that suits its density.
 Layers 1 and 2 are sparse, so their sums are enumerated into a bit-packed
@@ -18,10 +19,9 @@ holes are dense, the values nearest the window's start first, so that
 their bits come from the dense bottom of the previous layer, then tests
 each remaining hole against the values not yet shifted in.  A layer whose
 holes are already sparse tests them all at once.  Layering stops at the
-fixpoint.  A final layer that is full leaves no failures; otherwise they
-are read from the set bits of its complement, found a nonzero byte at a
-time.  Every layer is bit-identical to the plain shift-or over the whole
-pool.
+fixpoint.  The holes of a layer, and so the failures of the last one, are
+found a byte that is not full at a time.  Every layer is bit-identical to
+the plain shift-or over the whole pool.
 
 A witness is recovered by walking back through the layers, taking the
 largest pool value that leaves a remainder in the layer below.  One walk,
@@ -171,66 +171,65 @@ def witness_from_values(
 
 def _layer_masks(
     values: list[int], limit: int, max_terms: int, strict_distinct: bool
-) -> list[int]:
-    """Cumulative reachability masks; masks[k] = sums of at most k terms.
+) -> tuple[list[bytes], list[int]]:
+    """Cumulative reachability layers and their bit counts; layers[k] holds
+    the sums of at most k terms, as limit // 8 + 1 little-endian bytes.
 
-    `values` must be ascending and lie in [1, limit], and max_terms must be
-    at least 1.  Bit 0 stands for the empty sum.  With repeats, layering
-    stops at the fixpoint; with distinct values, at the pool size.  So the
-    list may be shorter than max_terms + 1: every later mask equals the
-    last one.
+    `values` must be strictly ascending and lie in [1, limit], and max_terms
+    must be at least 1.  Bit 0 stands for the empty sum.  With repeats,
+    layering stops at the fixpoint; with distinct values, at the pool size.
+    So the list may be shorter than max_terms + 1: every later layer equals
+    the last one.
     """
-    full = (1 << (limit + 1)) - 1
+    size = limit // 8 + 1
     if strict_distinct:
         # masks[k] is the sums of at most k distinct values seen so far: a
         # sum leaves v out, or is v plus at most k - 1 values seen before.
         # A layer can add nothing and the next still add sums, so there is
         # no fixpoint stop
+        full = (1 << (limit + 1)) - 1
         masks = [1] * (min(max_terms, len(values)) + 1)
         for v in values:
             for k in range(len(masks) - 1, 0, -1):
                 masks[k] = (masks[k] | (masks[k - 1] << v)) & full
-        return masks
-    masks = [1]
-    for mask in _default_layers(values, limit, max_terms):
-        # with repeats, a layer that adds nothing is a fixpoint
-        if mask == masks[-1]:
-            break
-        masks.append(mask)
-    return masks
-
-
-def _default_layers(values: list[int], limit: int, max_terms: int):
-    """Yield masks[1..max_terms] with repeats allowed: layers 1 and 2 by
-    enumerating sums into a bit-packed buffer, later ones by _grow_layer."""
-    buf = bytearray(limit // 8 + 1)
+        counts = [mask.bit_count() for mask in masks]
+        # each mask gives way to its bytes, so no layer is held twice
+        for k, mask in enumerate(masks):
+            masks[k] = mask.to_bytes(size, "little")
+        return masks, counts
+    buf = bytearray(size)
     buf[0] = 1
+    layers = [bytes(buf)]
     for v in values:
         buf[v >> 3] |= 1 << (v & 7)
-    mask = int.from_bytes(buf, "little")
-    yield mask
-    if max_terms < 2:
-        return
-    # v = 8q + r puts v + w at byte q + ((w + r) >> 3), bit (w + r) & 7, so
-    # two tables per residue r, of every w's byte offset and bit, serve each
-    # v of that residue
-    offsets = [[(w + r) >> 3 for w in values] for r in range(8)]
-    bits = [[1 << ((w + r) & 7) for w in values] for r in range(8)]
-    for i, v in enumerate(values):
-        top = limit - v
-        if v > top:
-            break
-        stop = bisect_right(values, top)
-        q, r = v >> 3, v & 7
-        for b, m in zip(offsets[r][i:stop], bits[r][i:stop]):
-            buf[q + b] |= m
-    mask = int.from_bytes(buf, "little")
-    yield mask
-    # the generator frame would keep these through the dense layers
-    del buf, offsets, bits
-    for _ in range(3, max_terms + 1):
-        mask = _grow_layer(mask, values, limit)
-        yield mask
+    layers.append(bytes(buf))
+    counts = [1, 1 + len(values)]
+    if max_terms > 1:
+        # v = 8q + r puts v + w at byte q + ((w + r) >> 3), bit (w + r) & 7,
+        # so two tables per residue r, of every w's byte offset and bit,
+        # serve each v of that residue
+        offsets = [[(w + r) >> 3 for w in values] for r in range(8)]
+        bits = [[1 << ((w + r) & 7) for w in values] for r in range(8)]
+        for i, v in enumerate(values):
+            top = limit - v
+            if v > top:
+                break
+            stop = bisect_right(values, top)
+            q, r = v >> 3, v & 7
+            for b, m in zip(offsets[r][i:stop], bits[r][i:stop]):
+                buf[q + b] |= m
+        del offsets, bits  # so the dense layers are not built beside them
+        layers.append(buf)
+        counts.append(int.from_bytes(buf, "little").bit_count())
+    # with repeats, a layer that adds nothing is a fixpoint, and so is a
+    # full one
+    while len(layers) <= max_terms and counts[-2] < counts[-1] <= limit:
+        layer, count = _grow_layer(layers[-1], counts[-1], values, limit)
+        layers.append(layer)
+        counts.append(count)
+    if counts[-1] == counts[-2]:
+        del layers[-1], counts[-1]
+    return layers, counts
 
 
 #: A window of a layer stops shifting and tests its holes one by one once
@@ -257,45 +256,41 @@ MAX_CHUNK = 16
 LAYER_WINDOW = 1 << 19
 
 
-def _grow_layer(previous: int, values: list[int], limit: int) -> int:
-    """masks[k] from masks[k - 1] = previous, for k >= 3.
+def _grow_layer(
+    previous: bytes, count: int, values: list[int], limit: int
+) -> tuple[bytearray, int]:
+    """Layer k and its bit count from layer k - 1 = previous, of `count`
+    bits, for k >= 3.
 
     A layer whose holes (integers not yet reached) are sparse over the whole
-    range finds them once, from the complement of the previous layer's
-    bytes, and tests each against the values (_fill_holes).
+    range finds them once (_holes) and tests each against the values
+    (_fill_holes).
 
     A denser layer is built one window of LAYER_WINDOW bits at a time, from
-    the top down, out of the previous layer cut into block ints of that
-    width; a layer of one window is its own only block.  Window j, whose
-    first bit is lo, starts from block j.  While its holes are dense it ORs
-    in, value by value, the window of `previous` at offset s = lo - v: a
-    value v <= lo as one right shift of a pair int that joins blocks
-    s // width and s // width + 1, a larger v as block 0 shifted left.  One
-    pair int is alive at a time, with a copy cut to 1.5 widths for the
-    shifts that would leave more bits than that above the window.  The
-    values nearest lo go first, since they read the bottom of the previous
-    layer, where its sums are densest, so each shift fills more holes.
-    Windows 0 and 1 take the values smallest first instead: that already
-    reads blocks 0 and 1, and their shifts by values near lo would be
-    longer.  Each remaining hole is then tested against the values not
+    the top down, out of `previous` cut into block ints of that width.
+    Window j, whose first bit is lo, starts from block j.  While its holes
+    are dense it ORs in, value by value, the window of `previous` at offset
+    s = lo - v: a value v <= lo as one right shift of a pair int that joins
+    blocks s // width and s // width + 1, a larger v as block 0 shifted
+    left.  One pair int is alive at a time, with a copy cut to 1.5 widths
+    for the shifts that would leave more bits than that above the window.
+    The values nearest lo go first, since they read the bottom of the
+    previous layer, where its sums are densest, so each shift fills more
+    holes.  Windows 0 and 1 take the values smallest first instead: that
+    already reads blocks 0 and 1, and their shifts by values near lo would
+    be longer.  Each remaining hole is then tested against the values not
     shifted in, in the same order.  Window j reads only blocks up to j, so
-    a block is freed once its window is done.
+    a block is freed once its window is done.  The count is each window's
+    bits after shifting plus the holes the tests fill.
     """
-    unreached = limit + 1 - previous.bit_count()
-    if not unreached:
-        return previous  # a full layer has nothing left to reach
-    previous_bytes = _mask_bytes(previous, limit)
-    if unreached * HOLE_SPARSITY < limit + 1:
-        # the complement's bits past the limit are not holes
-        holes = _set_bits(previous_bytes, complement=True)
-        out = bytearray(previous_bytes)
-        _fill_holes(out, previous_bytes, holes[: bisect_right(holes, limit)], values)
-        del previous_bytes  # so the result is not built beside it
-        return int.from_bytes(out, "little")
+    if (limit + 1 - count) * HOLE_SPARSITY < limit + 1:
+        out = bytearray(previous)
+        return out, count + _fill_holes(out, previous, _holes(previous, limit), values)
     width = LAYER_WINDOW
     cut = (1 << (width + width // 2)) - 1
-    out = bytearray(len(previous_bytes))
-    below = [previous] if limit < width else _block_ints(previous_bytes, limit, width)
+    out = bytearray(len(previous))
+    below = _block_ints(previous, limit, width)
+    count = 0  # the new layer's bits, window by window
     for j in reversed(range(len(below))):
         lo = j * width
         hi = min(lo + width, limit + 1)
@@ -329,73 +324,67 @@ def _grow_layer(previous: int, values: list[int], limit: int) -> int:
             chunk = min(2 * chunk, MAX_CHUNK)
             holes = span - mask.bit_count()
         below[j] = pair = short = None
-        size = (span + 7) >> 3
-        out[lo >> 3 : (lo >> 3) + size] = mask.to_bytes(size, "little")
+        count += span - holes
+        window = mask.to_bytes((span + 7) >> 3, "little")
+        out[lo >> 3 : (lo >> 3) + len(window)] = window
         if holes and used < len(order):
-            window_holes = _set_bits((mask ^ low).to_bytes(size, "little"))
-            _fill_holes(
-                out, previous_bytes, [lo + h for h in window_holes], order[used:]
-            )
-    del previous_bytes  # so the result is not built beside it
-    return int.from_bytes(out, "little")
+            window_holes = [lo + h for h in _holes(window, span - 1)]
+            count += _fill_holes(out, previous, window_holes, order[used:])
+    return out, count
 
 
 def _fill_holes(
-    out: bytearray, previous_bytes: bytes, holes: list[int], values: list[int]
-) -> None:
+    out: bytearray, previous: bytes, holes: list[int], values: list[int]
+) -> int:
     """Set in `out` each of the holes h that some v of `values`, taken in
-    their order, reaches with h - v set in `previous_bytes`."""
+    their order, reaches with h - v set in `previous`; return how many."""
+    filled = 0
     for h in holes:
         # the bit probe is inlined: this loop is the phase's whole cost
         for v in values:
             d = h - v
-            if d >= 0 and previous_bytes[d >> 3] >> (d & 7) & 1:
+            if d >= 0 and previous[d >> 3] >> (d & 7) & 1:
                 out[h >> 3] |= 1 << (h & 7)
+                filled += 1
                 break
+    return filled
 
 
-#: Bit offsets set in each byte value, for walking sparse masks.
-_BYTE_BITS = tuple(
-    tuple(b for b in range(8) if byte >> b & 1) for byte in range(256)
+#: The clear bit offsets of each byte value, for walking sparse holes.
+_BYTE_HOLES = tuple(
+    tuple(b for b in range(8) if not byte >> b & 1) for byte in range(256)
 )
 
-#: Maps byte 0 to 0 and every other byte to 1.
-_NONZERO_FLAG = bytes([0] + [1] * 255)
+#: Maps byte 0xFF to 0 and every other byte to 1.
+_HOLE_FLAG = bytes([1] * 255 + [0])
 
 
-def _set_bits(mask_bytes: bytes, complement: bool = False) -> list[int]:
-    """Indices of the set bits of a little-endian bitset, ascending; with
-    `complement`, of the set bits of its complement, all its bytes long.
+def _holes(layer: bytes, limit: int) -> list[int]:
+    """The integers in [0, limit] that a layer's little-endian bytes do not
+    hold, ascending.
 
     The bytes are mapped to 0/1 flags, and bytes.find (memchr) steps from
-    one flagged byte to the next, so a run of zero bytes (of 0xFF bytes for
-    the complement) costs no Python step.  The complement's tables are the
-    plain ones read from the other end, so no complemented copy is made.
+    one flagged byte to the next, so a run of 0xFF bytes costs no Python
+    step.  The last byte's clear bits past the limit are not holes.
     """
-    flag, bits = _NONZERO_FLAG, _BYTE_BITS
-    if complement:
-        flag, bits = flag[::-1], bits[::-1]
-    flags = mask_bytes.translate(flag)
+    flags = layer.translate(_HOLE_FLAG)
     found = []
     i = flags.find(1)
     while i >= 0:
         base = i << 3
-        found.extend(base + b for b in bits[mask_bytes[i]])
+        found.extend(base + b for b in _BYTE_HOLES[layer[i]])
         i = flags.find(1, i + 1)
+    del found[bisect_right(found, limit) :]
     return found
 
 
-def _mask_bytes(mask: int, limit: int) -> bytes:
-    return mask.to_bytes(limit // 8 + 1, "little")
-
-
-def _strict_search(values: list[int], layer_bytes: list[bytes]):
+def _strict_search(values: list[int], layers: list[bytes]):
     """search(target, need, start): the first decomposition of target into
     `need` distinct values of values[::-1][start:], in descending order, or
     None.  `values` is ascending.
 
     Each level starts at the largest value not above what remains.  A value
-    v is tried only if target - v is set in layer_bytes[need - 1], the sums
+    v is tried only if target - v is set in layers[need - 1], the sums
     of at most need - 1 distinct values, so no branch is entered that cannot
     complete.  Layer 0 holds only the empty sum, so the last value taken is
     what remains.
@@ -404,7 +393,7 @@ def _strict_search(values: list[int], layer_bytes: list[bytes]):
     values_desc = values[::-1]
 
     def search(remaining: int, need: int, start: int) -> list[int] | None:
-        below = layer_bytes[need - 1]
+        below = layers[need - 1]
         # the values <= remaining start at this index of the descending list
         for idx in range(max(start, total - bisect_right(values, remaining)), total):
             d = remaining - values_desc[idx]
@@ -424,10 +413,10 @@ def _scan(
     n: int, max_terms: int, strict_distinct: bool, first: int = 1
 ) -> tuple[ScanReport, list[PoolEntry], Iterator[_WitnessBlock]]:
     """One scan of [1, n]: check the arguments, then build the pool, the
-    layer masks and the report they give.
+    layers and the report they give.
 
-    The third item is the walk over [first, n] (_witnesses) on those masks.
-    It runs only as its blocks are read, and it alone holds the masks, so
+    The third item is the walk over [first, n] (_witnesses) on those layers.
+    It runs only as its blocks are read, and it alone holds the layers, so
     they are freed once it has cut them into its table, or with it if it
     is dropped unread.
     """
@@ -448,19 +437,14 @@ def _scan(
         raise ValueError(
             f"strict layers of {bits} bits exceed the ceiling {STRICT_BITS_CEILING}"
         )
-    masks = _layer_masks(values, n, max_terms, strict_distinct)
-    built = len(masks) - 1
+    layers, counts = _layer_masks(values, n, max_terms, strict_distinct)
+    built = len(layers) - 1
     # the layers are cumulative, so layer k adds its count less the one below
-    counts = [mask.bit_count() for mask in masks]
     histogram = {
         k: counts[k] - counts[k - 1] if k <= built else 0
         for k in range(1, max_terms + 1)
     }
-    failures = ()
-    if counts[built] <= n:
-        # a final layer that holds all n + 1 bits leaves nothing to read
-        full = (1 << (n + 1)) - 1
-        failures = tuple(_set_bits(_mask_bytes(masks[built] ^ full, n)))
+    failures = tuple(_holes(layers[built], n))
     report = ScanReport(
         n=n,
         max_terms=max_terms,
@@ -468,7 +452,7 @@ def _scan(
         histogram=histogram,
         failures=failures,
     )
-    return report, pool, _witnesses(first, n, masks, values, strict_distinct)
+    return report, pool, _witnesses(first, n, layers, values, strict_distinct)
 
 
 def scan_conjecture(
@@ -482,7 +466,7 @@ def scan_with_witnesses(
     n: int, max_terms: int = 5, strict_distinct: bool = False
 ) -> tuple[ScanReport, Iterator[Witness]]:
     """One scan of [1, n]: its report, and a lazy stream of a minimal
-    witness for every representable m, recovered from the same masks."""
+    witness for every representable m, recovered from the same layers."""
     report, pool, blocks = _scan(n, max_terms, strict_distinct)
     return report, _with_provenance(blocks, pool)
 
@@ -494,8 +478,7 @@ def min_term_decomposition(
 
     The pool is every platonic value up to m.  None means no decomposition
     exists within the budget, which is a result, not an error.  m is held
-    to the scans' ceilings, since its masks are (m + 1)-bit layers like a
-    scan's.
+    to the scans' ceilings, since its layers are (m + 1) bits like a scan's.
     """
     _, pool, blocks = _scan(m, max_terms, strict_distinct, first=m)
     return next(_with_provenance(blocks, pool), None)
@@ -547,21 +530,19 @@ def _shifted_window(blocks: list[int], s: int, width: int) -> int:
     return blocks[q] >> r | blocks[q + 1] << (width - r)
 
 
-def _first_terms(
-    layer_bytes: Iterable[bytes], values: list[int], limit: int
-) -> memoryview:
+def _first_terms(layers: list[bytes], values: list[int], limit: int) -> memoryview:
     """F over [0, limit]: F[m] is 1 + the pool index of the largest value v
     such that m - v is in the layer below m's depth; 0 where no layer holds m.
 
     With repeats such an m - v has depth exactly depth(m) - 1, with distinct
     values at most that, so F serves every step of a walk.  Each layer is
-    first cut into ints of WITNESS_BLOCK bits (_block_ints); a layer's bytes
-    can go once it is cut, so pass them lazily to keep one layer's bytes at
-    a time.  The table is then filled one block of targets at a time, one
-    pass per layer k and pool value, largest value first: the targets of
-    depth k still open are T, the hits are T & (L[k-1] << v), and each hit
-    takes v and leaves T.  A pass's window of layer k - 1 starts at a bit
-    offset s and is two shifts and an OR of the block ints that hold it
+    first taken out of the list given and cut into ints of WITNESS_BLOCK
+    bits (_block_ints), so its bytes go once it is cut if nothing else
+    holds them.  The table is then filled one block of targets at a time,
+    one pass per layer k and pool value, largest value first: the targets
+    of depth k still open are T, the hits are T & (L[k-1] << v), and each
+    hit takes v and leaves T.  A pass's window of layer k - 1 starts at a
+    bit offset s and is two shifts and an OR of the block ints that hold it
     (_shifted_window).
     The hits are not read out bit by bit: they are ORed into one bitplane
     per bit of the index, and at the end of the block each plane is spread
@@ -570,7 +551,9 @@ def _first_terms(
     which has about 2,500 values.
     """
     width = WITNESS_BLOCK
-    layers = [_block_ints(layer, limit, width) for layer in layer_bytes]
+    # the list given is emptied as its layers are cut, so the bytes that
+    # nothing else holds go before the table is allocated
+    layers = [_block_ints(layers.pop(0), limit, width) for _ in range(len(layers))]
     table = bytearray(2 * (limit + 1))
     # the low byte of a native 16-bit lane comes first on a little-endian host
     offsets = (0, 1) if sys.byteorder == "little" else (1, 0)
@@ -635,29 +618,30 @@ def _gather(table: Sequence, keys: list[int]) -> Sequence:
 def _witnesses(
     lo: int,
     limit: int,
-    masks: list[int],
+    layers: list[bytes],
     values: list[int],
     strict_distinct: bool,
 ) -> Iterator[_WitnessBlock]:
     """Blocks (_WitnessBlock) of a minimal witness for every m in [lo, limit]
-    that the masks reach, _WALK_BLOCK targets of the range at a time; a
+    that the layers reach, _WALK_BLOCK targets of the range at a time; a
     block with no reachable target is skipped.
 
-    `masks` are _layer_masks over the ascending pool `values` up to
-    `limit`.  Nothing but the walk holds them (_scan builds it), and it
-    drops them once the layers are cut, before it allocates the first-term
-    table.  A target's depth is the first layer that holds it.  Its terms
-    come from walking back through the layers, each step taking the largest
-    pool value that leaves a remainder in the layer below.  With repeats
-    that choice always completes, and every step is one lookup in the
-    first-term table (_first_terms) over [0, limit]: the first column is a
-    slice of the table, and each later one is a round of lookups at the
-    block's remainders.  A round whose term values equal the remainders
-    leaves all of them 0, so the block ends there without subtracting.
-    The table must name a first term for exactly the targets that the
-    deepest layer holds, which each block checks by counting both; a
-    target left with a remainder after as many terms as there are layers
-    also means a corrupt table.
+    `layers` are _layer_masks over the ascending pool `values` up to
+    `limit`.  With repeats the walk empties that list as it cuts the layers
+    (_first_terms), so each layer's bytes go before the first-term table is
+    allocated, unless something else holds them; only the deepest layer
+    stays.  A target's depth is the first layer that holds it.  Its terms come from
+    walking back through the layers, each step taking the largest pool
+    value that leaves a remainder in the layer below.  With repeats that
+    choice always completes, and every step is one lookup in the first-term
+    table (_first_terms) over [0, limit]: the first column is a slice of
+    the table, and each later one is a round of lookups at the block's
+    remainders.  A round whose term values equal the remainders leaves all
+    of them 0, so the block ends there without subtracting.  The table must
+    name a first term for exactly the targets that the deepest layer holds,
+    which each block checks by counting both; a target left with a
+    remainder after as many terms as there are layers also means a corrupt
+    table.
 
     With distinct values a largest-first choice can strand the rest, so
     each walked block is checked in bulk: in neighbouring columns the later
@@ -666,24 +650,16 @@ def _witnesses(
     lowers the depth, so it has at most depth(m) terms, and as a distinct
     sum at least that many, so every step took the search's first
     candidate.  A block with a failing row is rebuilt by the search, target
-    by target.
+    by target, which reads the layers' bytes for the whole stream.
     """
-    built = len(masks) - 1
-    if strict_distinct:
-        # the fallback searches the layers' bytes for the whole stream; each
-        # mask gives way to its bytes, so no layer is held twice
-        for k in range(built + 1):
-            masks[k] = _mask_bytes(masks[k], limit)
-        layer_bytes = masks
-        search = _strict_search(values, layer_bytes)
-    else:
-        # once _first_terms has cut the layers, nothing holds the masks, so
-        # they are gone before it allocates the table
-        layer_bytes = (_mask_bytes(mask, limit) for mask in masks)
+    built = len(layers) - 1
     # the deepest layer holds every target the walk must yield
-    reached = masks[built] if strict_distinct else _mask_bytes(masks[built], limit)
-    del masks
-    first = _first_terms(layer_bytes, values, limit)
+    reached = layers[built]
+    if strict_distinct:
+        search = _strict_search(values, layers)
+    # the strict fallback reads the layers' bytes for the whole stream, so
+    # _first_terms empties a copy of the list
+    first = _first_terms(layers[:] if strict_distinct else layers, values, limit)
     # the table holds 1 + a pool index, so that 0 can mean "unreached"
     value_at = [0, *values]
     for start in range(lo, limit + 1, _WALK_BLOCK):
@@ -729,7 +705,7 @@ def _witnesses(
             rows = []
             for m in targets:
                 depth = 1
-                while not layer_bytes[depth][m >> 3] >> (m & 7) & 1:
+                while not layers[depth][m >> 3] >> (m & 7) & 1:
                     depth += 1
                 terms = search(m, depth, 0)
                 if terms is None:

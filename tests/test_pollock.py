@@ -228,6 +228,16 @@ def shift_or_masks(values, limit, max_terms, strict_distinct):
     return masks
 
 
+def layer_ints(values, limit, max_terms, strict_distinct):
+    """_layer_masks's layers as ints, once each is checked to be limit // 8 + 1
+    bytes and its returned count to be its own bit count."""
+    layers, counts = pollock._layer_masks(values, limit, max_terms, strict_distinct)
+    assert all(len(layer) == limit // 8 + 1 for layer in layers)
+    masks = [int.from_bytes(layer, "little") for layer in layers]
+    assert counts == [mask.bit_count() for mask in masks]
+    return masks
+
+
 def one_family(kind, limit):
     values = (platonic_value(kind, i) for i in itertools.count(1))
     return list(itertools.takewhile(lambda v: v <= limit, values))
@@ -256,7 +266,7 @@ def test_layer_masks_equal_plain_shift_or(
         inputs += [(one_family(kind, 3000), 3000, 25) for kind in PlatonicKind]
     for values, n, max_terms in inputs:
         want = shift_or_masks(values, n, max_terms, strict_distinct)
-        got = pollock._layer_masks(values, n, max_terms, strict_distinct)
+        got = layer_ints(values, n, max_terms, strict_distinct)
         # layering may stop early at a fixpoint; later masks repeat
         assert got == want[: len(got)], (n, max_terms)
         assert all(mask == got[-1] for mask in want[len(got) :])
@@ -311,7 +321,7 @@ def test_layer_masks_match_shift_or_on_random_pools(
     with mock.patch.object(pollock, "LAYER_WINDOW", window), mock.patch.object(
         pollock, "HOLE_SPARSITY", sparsity
     ):
-        got = pollock._layer_masks(values, limit, max_terms, False)
+        got = layer_ints(values, limit, max_terms, False)
     want = shift_or_masks(values, limit, max_terms, False)
     # layering may stop early at a fixpoint; later masks repeat
     assert got == want[: len(got)]
@@ -321,13 +331,17 @@ def test_layer_masks_match_shift_or_on_random_pools(
 def test_layers_stop_at_the_fixpoint():
     # every m <= 100 needs at most three terms, so layer 4 adds nothing
     values = [entry.value for entry in platonic_pool(100)]
-    assert len(pollock._layer_masks(values, 100, 200_000, False)) == 4
+    assert len(layer_ints(values, 100, 200_000, False)) == 4
+    # the multiples of 5 up to 20 take four terms, so layer 5 adds nothing,
+    # though it is not full: the union pool holds 1, so its fixpoints are full
+    masks = layer_ints([5], 20, 10, False)
+    assert [mask.bit_count() for mask in masks] == [1, 2, 3, 4, 5]
 
 
 def test_strict_masks_go_past_a_layer_that_adds_nothing():
     # no distinct 5-sum is new here, yet 68 = 1+3+4+16+20+24 is a new 6-sum
     values = [1, 3, 4, 12, 16, 20, 24, 38]
-    masks = pollock._layer_masks(values, 75, 8, True)
+    masks = layer_ints(values, 75, 8, True)
     assert masks == shift_or_masks(values, 75, 8, True)
     assert masks[5] == masks[4] and (masks[6] ^ masks[5]) == 1 << 68
 
@@ -348,8 +362,8 @@ def test_strict_layers_hold_one_set():
 
 
 def test_strict_walk_holds_each_layer_once(monkeypatch):
-    # the walk turns each strict mask into its bytes in place, so up to its
-    # first-term table it never holds a layer as an int and as bytes at once
+    # the strict build hands the walk its layers as bytes, so up to its
+    # first-term table the walk holds no layer as an int and as bytes at once
     n, max_terms = 200_000, 25
     values = [entry.value for entry in platonic_pool(n)]
     depth = min(max_terms, len(values))
@@ -364,62 +378,77 @@ def test_strict_walk_holds_each_layer_once(monkeypatch):
     monkeypatch.setattr(pollock, "_first_terms", cut)
     tracemalloc.start()
     try:
-        masks = pollock._layer_masks(values, n, max_terms, True)
+        layers, _ = pollock._layer_masks(values, n, max_terms, True)
         tracemalloc.reset_peak()
         with pytest.raises(Cut) as stopped:
-            next(pollock._witnesses(1, n, masks, values, True))
+            next(pollock._witnesses(1, n, layers, values, True))
     finally:
         tracemalloc.stop()
     [peak] = stopped.value.args
     assert peak <= (depth + 1 + 4) * layer, peak / layer
 
 
-def test_dense_layer_temporaries_stay_window_sized(monkeypatch):
-    # besides the result, a dense layer holds only the previous layer's
-    # bytes, their block ints and its output buffer at full size
-    monkeypatch.setattr(pollock, "LAYER_WINDOW", 1 << 14, raising=False)
+def test_default_walk_cuts_each_layer_once():
+    # the default walk takes each layer's bytes out of the list it is given
+    # as it cuts them, so the bytes are gone before the first-term table
+    # (two bytes a target) is allocated, though the caller holds the list;
+    # only the deepest layer stays for the stream
     n = 10**6
     values = [entry.value for entry in platonic_pool(n)]
-    previous = pollock._layer_masks(values, n, 2, False)[2]
     layer = sys.getsizeof((1 << (n + 1)) - 1)
     tracemalloc.start()
     try:
-        pollock._grow_layer(previous, values, n)
+        layers, _ = pollock._layer_masks(values, n, 5, False)
+        tracemalloc.reset_peak()
+        next(pollock._witnesses(1, n, layers, values, False))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * layer, peak / layer
+    assert not layers
+    assert peak <= 24 * layer, peak / layer
 
 
-def set_bits_by_bit(mask_bytes):
-    """The plain definition: test every bit of every byte."""
-    return [
-        8 * i + b
-        for i, byte in enumerate(mask_bytes)
-        for b in range(8)
-        if byte >> b & 1
-    ]
+def test_dense_layer_temporaries_stay_window_sized(monkeypatch):
+    # a dense layer holds only its output buffer and the previous layer's
+    # block ints at full size
+    monkeypatch.setattr(pollock, "LAYER_WINDOW", 1 << 14, raising=False)
+    n = 10**6
+    values = [entry.value for entry in platonic_pool(n)]
+    layers, counts = pollock._layer_masks(values, n, 2, False)
+    layer = sys.getsizeof((1 << (n + 1)) - 1)
+    tracemalloc.start()
+    try:
+        pollock._grow_layer(layers[2], counts[2], values, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * layer, peak / layer
 
 
-# sparse bitsets: runs of up to 5000 zero bytes between short runs of any bytes
-SPARSE_BYTES = st.lists(
+def holes_by_bit(layer, limit):
+    """The plain definition: test every bit up to the limit."""
+    return [h for h in range(limit + 1) if not layer[h >> 3] >> (h & 7) & 1]
+
+
+# layers with sparse holes: runs of up to 5000 0xFF bytes between short runs
+# of any bytes
+SPARSE_HOLES = st.lists(
     st.tuples(st.integers(0, 5000), st.binary(max_size=4)), max_size=8
-).map(lambda runs: b"".join(bytes(zeros) + chunk for zeros, chunk in runs))
+).map(lambda runs: b"".join(b"\xff" * full + chunk for full, chunk in runs))
 
 
 @settings(max_examples=200, deadline=None)
-@given(mask_bytes=st.binary(max_size=300) | SPARSE_BYTES)
-@example(mask_bytes=b"")
-@example(mask_bytes=bytes(1000))
-@example(mask_bytes=b"\xff" * 1000)
-@example(mask_bytes=bytes(range(256)))  # every byte value once
-@example(mask_bytes=bytes(10_000) + b"\x80")  # a lone bit in the last byte
-def test_set_bits_matches_a_per_bit_loop(mask_bytes):
-    want = set_bits_by_bit(mask_bytes)
-    assert pollock._set_bits(mask_bytes) == want
-    # where the mask is sparse its complement is mostly 0xFF bytes
-    complement = bytes(255 - byte for byte in mask_bytes)
-    assert pollock._set_bits(complement, complement=True) == want
+@given(layer=st.binary(max_size=300) | SPARSE_HOLES, cut=st.integers(1, 8))
+@example(layer=b"", cut=8)
+@example(layer=bytes(1000), cut=8)
+@example(layer=b"\xff" * 1000, cut=8)
+@example(layer=bytes(range(256)), cut=8)  # every byte value once
+@example(layer=b"\xff" * 10_000 + b"\x7f", cut=8)  # a lone hole in the last byte
+@example(layer=b"\xff" * 10_000 + b"\x7f", cut=7)  # and past the limit
+def test_holes_match_a_per_bit_loop(layer, cut):
+    # the limit falls in the last byte, whose clear bits above it are no holes
+    limit = 8 * len(layer) - 1 - (8 - cut)
+    assert pollock._holes(layer, limit) == holes_by_bit(layer, limit)
 
 
 def test_scan_validation_and_ceiling():
@@ -483,8 +512,8 @@ def test_strict_recovery_never_reuses_a_value():
     # to 3 * 10**5, so these values are made up
     values = [1, 2, 3, 4]
     for m, terms in ((9, (4, 3, 2)), (10, (4, 3, 2, 1))):
-        masks = pollock._layer_masks(values, m, 5, True)
-        [(targets, columns)] = pollock._witnesses(m, m, masks, values, True)
+        layers, _ = pollock._layer_masks(values, m, 5, True)
+        [(targets, columns)] = pollock._witnesses(m, m, layers, values, True)
         assert targets == [m]
         assert tuple(values[i - 1] for i in next(zip(*columns)) if i) == terms
 
@@ -504,18 +533,19 @@ def test_strict_search_tries_no_value_above_the_remainder():
     # byte, so trying 7 for 6 (d = -1) would pass the bit test and enter a
     # branch.  That branch cannot complete, so only the probe shows the slip
     values = [1, 2, 4, 7]
-    masks = pollock._layer_masks(values, 7, 4, True)
-    search = pollock._strict_search(
-        values, [ForwardOnly(pollock._mask_bytes(mask, 7)) for mask in masks]
-    )
+    layers, _ = pollock._layer_masks(values, 7, 4, True)
+    search = pollock._strict_search(values, [ForwardOnly(layer) for layer in layers])
     expected = {1: (1,), 2: (2,), 3: (2, 1), 4: (4,), 5: (4, 1), 6: (4, 2), 7: (7,)}
     for m, terms in expected.items():
         assert tuple(search(m, len(terms), 0)) == terms
 
 
-def with_bit(masks, bit, layer):
-    """Layer masks that also claim `bit` from `layer` up, as a corrupt build might."""
-    return [mask | 1 << bit if k >= layer else mask for k, mask in enumerate(masks)]
+def with_bit(layers, bit, layer):
+    """Layers that also claim `bit` from `layer` up, as a corrupt build might."""
+    claimed = [bytearray(old) for old in layers]
+    for new in claimed[layer:]:
+        new[bit >> 3] |= 1 << (bit & 7)
+    return claimed
 
 
 @pytest.mark.parametrize(
@@ -533,12 +563,13 @@ def with_bit(masks, bit, layer):
 def test_corrupt_masks_raise(claims, lo, message):
     # with the single value 5, the layers hold 0, 5, 10, 15, 20 and no other sum
     values = [5]
-    masks = pollock._layer_masks(values, 20, 4, False)
-    assert masks == [1, 1 | 1 << 5, 0x421, 0x8421, 0x108421]
+    layers, _ = pollock._layer_masks(values, 20, 4, False)
+    masks = [1, 1 | 1 << 5, 0x421, 0x8421, 0x108421]
+    assert layers == [mask.to_bytes(3, "little") for mask in masks]
     for bit, layer in claims:
-        masks = with_bit(masks, bit, layer)
+        layers = with_bit(layers, bit, layer)
     with pytest.raises(RuntimeError, match=f"{message}; masks corrupt"):
-        list(pollock._witnesses(lo, 20, masks, values, False))
+        list(pollock._witnesses(lo, 20, layers, values, False))
 
 
 def test_walk_stops_on_a_corrupt_table(monkeypatch):
@@ -555,7 +586,7 @@ def test_walk_stops_on_a_corrupt_table(monkeypatch):
         (10, 0, 11, "walk of 15 leaves 10 after 4 terms"),
     ]
     real = pollock._first_terms
-    masks = pollock._layer_masks([5], 20, 4, False)
+    layers, _ = pollock._layer_masks([5], 20, 4, False)
     for entry, value, lo, message in cases:
 
         def corrupt(*args):
@@ -567,7 +598,8 @@ def test_walk_stops_on_a_corrupt_table(monkeypatch):
         monkeypatch.setattr(pollock, "_first_terms", corrupt)
         started = time.perf_counter()
         with pytest.raises(RuntimeError, match=f"{message}; masks corrupt"):
-            list(pollock._witnesses(lo, 20, masks, [5], False))
+            # the walk empties the list it is given, so it gets a copy
+            list(pollock._witnesses(lo, 20, layers[:], [5], False))
         assert time.perf_counter() - started < 1.0
 
 
@@ -586,9 +618,9 @@ def test_walk_stops_on_a_corrupt_table(monkeypatch):
 )
 def test_corrupt_strict_masks_raise(layer, message):
     values = [1, 2, 3, 4]
-    masks = with_bit(pollock._layer_masks(values, 12, 4, True), 11, layer)
+    layers = with_bit(pollock._layer_masks(values, 12, 4, True)[0], 11, layer)
     with pytest.raises(RuntimeError, match=f"{message}; masks corrupt"):
-        list(pollock._witnesses(1, 12, masks, values, True))
+        list(pollock._witnesses(1, 12, layers, values, True))
 
 
 def test_strict_never_beats_default():

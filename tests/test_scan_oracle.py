@@ -268,9 +268,8 @@ def test_witness_blocks_join_up(block, monkeypatch):
     monkeypatch.setattr(pollock, "_WALK_BLOCK", block)
     # the table names the first term of every reachable target at every
     # depth and nothing else; every step of the walk is one of its entries
-    masks = pollock._layer_masks(values, n, 5, False)
-    layer_bytes = [pollock._mask_bytes(mask, n) for mask in masks]
-    first = pollock._first_terms(layer_bytes, values, n)
+    layers, _ = pollock._layer_masks(values, n, 5, False)
+    first = pollock._first_terms(layers, values, n)
     got = [values[i - 1] if i else None for i in first]
     assert got == [PATHS[t][0] if 1 <= DEPTH[t] <= 5 else None for t in range(n + 1)]
     for max_terms in (2, 5):
@@ -325,9 +324,9 @@ def strict_walk(values, limit, max_terms):
 
         return top
 
-    masks = pollock._layer_masks(values, limit, max_terms, True)
+    layers, _ = pollock._layer_masks(values, limit, max_terms, True)
     with mock.patch.object(pollock, "_strict_search", counting):
-        blocks = pollock._witnesses(1, limit, masks, values, True)
+        blocks = pollock._witnesses(1, limit, layers, values, True)
         found = [
             (m, tuple(values[i - 1] for i in row if i))
             for targets, columns in blocks
