@@ -27,7 +27,7 @@ import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
-from operator import add, mod, truth
+from operator import mod
 
 from .identities import IdentityCheck, _identity_checks
 from .periodicity import PeriodReport, check_period_range
@@ -282,8 +282,9 @@ def _witness_text(
     q = m // 1000; for q > 0 the run's head carries str(q), rendered once,
     and m's piece is m % 1000 as three digits from a table, one slice of
     it where the run's targets are consecutive.  Only the targets below
-    1000 (q = 0) take str(m), once per stream.  A row's term count is 1
-    plus its nonzero entries past the first column.
+    1000 (q = 0) take str(m), once per stream.  A row's term count is its
+    target's depth, which the walk yields with it, so the min-terms parts
+    are one gather by depth.
     """
     json_lines = fmt == "json"
     if json_lines:
@@ -295,7 +296,7 @@ def _witness_text(
         first = ["", *map(str, values)]
         later = ["", *[f" + {v}" for v in values]]
     padded = [f"{r:03d}" for r in range(1000)]
-    for targets, columns in blocks:
+    for targets, depths, columns in blocks:
         width = len(columns)
         stride = width + 4
         count = len(targets)
@@ -317,14 +318,9 @@ def _witness_text(
                 pieces[lo * stride + 1 : hi * stride : stride] = low
             lo = hi
         if json_lines:
-            # the text after m for each count of terms past the first
-            counted = [
-                f'", "min_terms": {n + 1}, "terms": [' for n in range(width)
-            ]
-            past = repeat(0, count)
-            for column in columns[1:]:
-                past = map(add, past, map(truth, column))
-            pieces[2::stride] = _gather(counted, list(past))
+            # the text after m for each depth, which is the count of terms
+            counted = [f'", "min_terms": {n}, "terms": [' for n in range(width + 1)]
+            pieces[2::stride] = _gather(counted, depths)
         pieces[3::stride] = _gather(first, columns[0])
         for j in range(1, width):
             pieces[3 + j :: stride] = _gather(later, columns[j])

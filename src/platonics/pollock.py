@@ -26,14 +26,16 @@ the plain shift-or over the whole pool.
 A witness is recovered by walking back through the layers, taking the
 largest pool value that leaves a remainder in the layer below.  One walk,
 _witnesses, serves both modes, the scans' streams and min_term_decomposition
-alike; it yields blocks of targets with their terms as pool indices, which
-the CLI renders a block at a time and the library unpacks into Witness
-objects.  Every step is one lookup in a single first-term table over
-[0, limit], filled by bulk passes per layer and pool value over blocks of
-targets, and a block is walked in rounds, each one lookup for all its
-targets at once, until every remainder is 0.  With distinct values a
-block whose terms all strictly descend is done; any other block is
-rebuilt by a depth-first search per target that the layers prune.
+alike; it yields blocks of targets with their depths, one byte each, and
+their terms as pool indices, which the CLI renders a block at a time and
+the library unpacks into Witness objects.  Every step is one lookup in a
+single first-term table over [0, limit], filled by bulk passes per layer
+and pool value over blocks of targets, and a block is walked in rounds,
+each one lookup for all its targets at once, until every remainder is 0.
+The depths come from the same blocks of the layers, as bitplanes spread
+into byte lanes like the table's pool indices.  With distinct values a
+block whose terms all strictly descend is done; any other block is rebuilt
+by a depth-first search per target, at its depth, that the layers prune.
 """
 
 from __future__ import annotations
@@ -490,7 +492,7 @@ def _with_provenance(
     """The Witness of every target of the blocks, with the pool entry of
     every term; `entries` are the pool entries of the walk's values."""
     entry_at = [None, *entries]
-    for targets, columns in blocks:
+    for targets, _, columns in blocks:
         for m, row in zip(targets, zip(*columns)):
             yield Witness(m, tuple([entry_at[i] for i in row if i]))
 
@@ -502,7 +504,7 @@ def _with_provenance(
 WITNESS_BLOCK = 1 << 16
 
 #: Per bit b, a table from "0"/"1" to the byte 0/2**b, which spreads one
-#: bitplane of pool indices into byte lanes.
+#: bitplane of pool indices or depths into byte lanes.
 _LANE_BIT = [bytes.maketrans(b"01", bytes([0, 1 << b])) for b in range(8)]
 
 
@@ -530,20 +532,23 @@ def _shifted_window(blocks: list[int], s: int, width: int) -> int:
     return blocks[q] >> r | blocks[q + 1] << (width - r)
 
 
-def _first_terms(layers: list[bytes], values: list[int], limit: int) -> memoryview:
-    """F over [0, limit]: F[m] is 1 + the pool index of the largest value v
-    such that m - v is in the layer below m's depth; 0 where no layer holds m.
+def _first_terms(
+    layers: list[bytes], values: list[int], limit: int
+) -> tuple[memoryview, list[list[int]]]:
+    """F over [0, limit], and the layers cut into ints of WITNESS_BLOCK bits
+    (_block_ints): F[m] is 1 + the pool index of the largest value v such
+    that m - v is in the layer below m's depth; 0 where no layer holds m.
 
     With repeats such an m - v has depth exactly depth(m) - 1, with distinct
     values at most that, so F serves every step of a walk.  Each layer is
-    first taken out of the list given and cut into ints of WITNESS_BLOCK
-    bits (_block_ints), so its bytes go once it is cut if nothing else
-    holds them.  The table is then filled one block of targets at a time,
-    one pass per layer k and pool value, largest value first: the targets
-    of depth k still open are T, the hits are T & (L[k-1] << v), and each
-    hit takes v and leaves T.  A pass's window of layer k - 1 starts at a
-    bit offset s and is two shifts and an OR of the block ints that hold it
-    (_shifted_window).
+    first taken out of the list given and cut into block ints, so its bytes
+    go once it is cut if nothing else holds them; the block ints are handed
+    on, for the walk's depths (_depths).  The table is then filled one
+    block of targets at a time, one pass per layer k and pool value,
+    largest value first: the targets of depth k still open are T, the hits
+    are T & (L[k-1] << v), and each hit takes v and leaves T.  A pass's
+    window of layer k - 1 starts at a bit offset s and is two shifts and an
+    OR of the block ints that hold it (_shifted_window).
     The hits are not read out bit by bit: they are ORed into one bitplane
     per bit of the index, and at the end of the block each plane is spread
     into byte lanes (its binary text, translated) and the lanes are written
@@ -593,7 +598,55 @@ def _first_terms(layers: list[bytes], values: list[int], limit: int) -> memoryvi
                     text = format(plane, f"0{span}b").encode().translate(translate)
                     acc |= int.from_bytes(text, "big")
             table[2 * lo + offset : 2 * hi : 2] = acc.to_bytes(span, "little")
-    return memoryview(table).cast("H")
+    return memoryview(table).cast("H"), layers
+
+
+def _depths(blocks: list[list[int]], limit: int, lo: int) -> Iterator[bytes]:
+    """The depth of every target from lo to limit, one byte each, in runs
+    of at most _WALK_BLOCK targets that stay inside one block of
+    WITNESS_BLOCK targets, the first starting at lo; 0 where no layer holds
+    the target.
+
+    `blocks` are the layers 0..built cut into block ints (_first_terms).
+    The layers are cumulative, so the targets of depth k are those of
+    layer k less those of layer k - 1, and the deepest layer that adds any
+    in a block is top, the first whose block equals the deepest's.  The
+    targets of each depth k up to top are ORed into one bitplane per bit
+    of k, and the block's ints are freed.  A run's depths are its window of
+    each plane spread into byte lanes (its binary text, translated) and
+    ORed, as the table's pool indices are, so a run costs a text per bit of
+    the depth that it holds, not per layer.  A byte holds a depth up to
+    255: the strict scans' ceilings keep every depth under 179.  A run is a
+    walk block long, so that neither its texts nor what the walk holds of
+    it grow with a table block.
+    """
+    width = WITNESS_BLOCK
+    deepest = blocks[-1]
+    for j in range(lo // width, len(deepest)):
+        start = j * width
+        span = min(width, limit + 1 - start)
+        top = next(k for k in range(1, len(blocks)) if blocks[k][j] == deepest[j])
+        if top > 255:
+            raise ValueError(f"depth {top} at {start} exceeds a byte")
+        planes = [0] * top.bit_length()
+        for k in range(1, top + 1):
+            new = blocks[k][j] & ~blocks[k - 1][j]
+            for bit in range(k.bit_length()):
+                if k >> bit & 1:
+                    planes[bit] |= new
+        for layer in blocks:
+            layer[j] = None
+        for c in range(max(lo - start, 0), span, _WALK_BLOCK):
+            size = min(_WALK_BLOCK, span - c)
+            low = (1 << size) - 1
+            acc = 0
+            for plane, translate in zip(planes, _LANE_BIT):
+                window = plane >> c & low
+                if window:
+                    # the text is most significant bit first, so read it big-endian
+                    text = format(window, f"0{size}b").encode().translate(translate)
+                    acc |= int.from_bytes(text, "big")
+            yield acc.to_bytes(size, "little")
 
 
 #: The walk yields its witnesses this many targets at a time.  Blocks of
@@ -601,14 +654,15 @@ def _first_terms(layers: list[bytes], values: list[int], limit: int) -> memoryvi
 #: 18.6 MB, and blocks of 65536 to 52 MB.
 _WALK_BLOCK = 1024
 
-#: (targets, columns): the reachable targets of a block, ascending, and
-#: per term j a column whose entry t is 1 + the pool index of term j of
+#: (targets, depths, columns): the reachable targets of a block, ascending;
+#: the depth of each, one byte per target, which is its number of terms;
+#: and per term j a column whose entry t is 1 + the pool index of term j of
 #: targets[t], or 0 past its last term.
-_WitnessBlock = tuple[list[int], list[Sequence[int]]]
+_WitnessBlock = tuple[list[int], bytes, list[Sequence[int]]]
 
 
-def _gather(table: Sequence, keys: list[int]) -> Sequence:
-    """table[k] for every k of a non-empty list, in one C-level call; an
+def _gather(table: Sequence, keys: Sequence[int]) -> Sequence:
+    """table[k] for every k of a non-empty sequence, in one C-level call; an
     itemgetter of a single key returns that item, not a 1-tuple."""
     if len(keys) == 1:
         return (table[keys[0]],)
@@ -628,20 +682,23 @@ def _witnesses(
 
     `layers` are _layer_masks over the ascending pool `values` up to
     `limit`.  With repeats the walk empties that list as it cuts the layers
-    (_first_terms), so each layer's bytes go before the first-term table is
-    allocated, unless something else holds them; only the deepest layer
-    stays.  A target's depth is the first layer that holds it.  Its terms come from
-    walking back through the layers, each step taking the largest pool
-    value that leaves a remainder in the layer below.  With repeats that
-    choice always completes, and every step is one lookup in the first-term
-    table (_first_terms) over [0, limit]: the first column is a slice of
-    the table, and each later one is a round of lookups at the block's
-    remainders.  A round whose term values equal the remainders leaves all
-    of them 0, so the block ends there without subtracting.  The table must
-    name a first term for exactly the targets that the deepest layer holds,
-    which each block checks by counting both; a target left with a
-    remainder after as many terms as there are layers also means a corrupt
-    table.
+    into block ints (_first_terms), so each layer's bytes go before the
+    first-term table is allocated, unless something else holds them.  A
+    target's depth is the first layer that holds it; the walk reads it from
+    the block ints, a table block at a time (_depths), and frees the ints
+    as it goes.  Its terms come from walking back through the layers, each
+    step taking the largest pool value that leaves a remainder in the layer
+    below.  With repeats that choice always completes, and every step is
+    one lookup in the first-term table (_first_terms) over [0, limit]: the
+    first column is a slice of the table, and each later one is a round of
+    lookups at the block's remainders.  A round whose term values equal
+    the remainders leaves all of them 0, so the block ends there without
+    subtracting.  The table must name a first term for exactly the targets
+    that have a depth, which each block checks: where every target has one,
+    the first column must hold no 0, and its targets are the block's range;
+    elsewhere the targets the column names must all have depths, and as
+    many as the block's depths.  A target left with a remainder after as
+    many terms as there are layers also means a corrupt table.
 
     With distinct values a largest-first choice can strand the rest, so
     each walked block is checked in bulk: in neighbouring columns the later
@@ -650,36 +707,49 @@ def _witnesses(
     lowers the depth, so it has at most depth(m) terms, and as a distinct
     sum at least that many, so every step took the search's first
     candidate.  A block with a failing row is rebuilt by the search, target
-    by target, which reads the layers' bytes for the whole stream.
+    by target at its depth, which reads the layers' bytes for the whole
+    stream.
     """
     built = len(layers) - 1
-    # the deepest layer holds every target the walk must yield
-    reached = layers[built]
     if strict_distinct:
         search = _strict_search(values, layers)
     # the strict fallback reads the layers' bytes for the whole stream, so
     # _first_terms empties a copy of the list
-    first = _first_terms(layers[:] if strict_distinct else layers, values, limit)
+    first, blocks = _first_terms(
+        layers[:] if strict_distinct else layers, values, limit
+    )
+    runs = _depths(blocks, limit, lo)
+    # run holds the depths of the targets from run_lo up
+    run, run_lo = b"", lo
     # the table holds 1 + a pool index, so that 0 can mean "unreached"
     value_at = [0, *values]
     for start in range(lo, limit + 1, _WALK_BLOCK):
         stop = min(start + _WALK_BLOCK, limit + 1)
+        window = run[start - run_lo : stop - run_lo]
+        while len(window) < stop - start:
+            run_lo += len(run)
+            run = next(runs)
+            window += run[: stop - run_lo]
         column = first[start:stop].tolist()
-        targets = list(compress(range(start, stop), column))
-        window = int.from_bytes(reached[start >> 3 : ((stop - 1) >> 3) + 1], "little")
-        window = window >> (start & 7) & ((1 << (stop - start)) - 1)
-        if len(targets) != window.bit_count():
+        if 0 not in window:
+            targets, depths = list(range(start, stop)), window
+            agree = all(column)
+        else:
+            targets = list(compress(range(start, stop), column))
+            depths = bytes(compress(window, column))
+            agree = 0 not in depths and len(depths) == len(window) - window.count(0)
+            column = list(filter(None, column))
+        if not agree:
             m = next(
                 m
-                for m in range(start, stop)
-                if bool(first[m]) != bool(reached[m >> 3] >> (m & 7) & 1)
+                for m, d, f in zip(range(start, stop), window, first[start:stop])
+                if bool(d) != bool(f)
             )
             raise RuntimeError(
                 f"first-term table and layer {built} disagree at {m}; masks corrupt"
             )
         if not targets:
             continue
-        column = list(filter(None, column))
         columns = [column]
         rest = tuple(targets)
         while True:
@@ -703,13 +773,10 @@ def _witnesses(
             for earlier, later in zip(columns, columns[1:])
         ):
             rows = []
-            for m in targets:
-                depth = 1
-                while not layers[depth][m >> 3] >> (m & 7) & 1:
-                    depth += 1
+            for m, depth in zip(targets, depths):
                 terms = search(m, depth, 0)
                 if terms is None:
                     raise RuntimeError(f"strict recovery failed for {m}; masks corrupt")
                 rows.append([bisect_right(values, v) for v in terms])
             columns = list(zip_longest(*rows, fillvalue=0))
-        yield targets, columns
+        yield targets, depths, columns

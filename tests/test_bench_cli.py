@@ -34,6 +34,10 @@ def test_equal_trees_agree(tmp_path, capsys):
     assert command["args"] == "pollock 30"
     for stats in command["trees"].values():
         assert len(stats["wall_s"]["runs"]) == 3
+        # the child's own CPU seconds: importing the package takes user time
+        assert len(stats["user_s"]["runs"]) == 3
+        assert all(user > 0 for user in stats["user_s"]["runs"])
+        assert all(sys_s >= 0 for sys_s in stats["sys_s"]["runs"])
         assert stats["exit"] == [0]
         assert len(stats["stdout_sha256"]) == 1
     trees = command["trees"]

@@ -391,8 +391,9 @@ def test_strict_walk_holds_each_layer_once(monkeypatch):
 def test_default_walk_cuts_each_layer_once():
     # the default walk takes each layer's bytes out of the list it is given
     # as it cuts them, so the bytes are gone before the first-term table
-    # (two bytes a target) is allocated, though the caller holds the list;
-    # only the deepest layer stays for the stream
+    # (two bytes a target) is allocated, though the caller holds the list.
+    # For the rest of the stream it holds the table and the layers' block
+    # ints, which it frees a table block at a time as it reads the depths
     n = 10**6
     values = [entry.value for entry in platonic_pool(n)]
     layer = sys.getsizeof((1 << (n + 1)) - 1)
@@ -400,12 +401,65 @@ def test_default_walk_cuts_each_layer_once():
     try:
         layers, _ = pollock._layer_masks(values, n, 5, False)
         tracemalloc.reset_peak()
-        next(pollock._witnesses(1, n, layers, values, False))
+        blocks = pollock._witnesses(1, n, layers, values, False)
+        next(blocks)
+        _, first_peak = tracemalloc.get_traced_memory()
+        assert not layers
+        for _ in blocks:
+            pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not layers
+    assert first_peak <= 24 * layer, first_peak / layer
     assert peak <= 24 * layer, peak / layer
+
+
+@pytest.mark.parametrize("table_block, walk_block", [(7, 1024), (64, 10)])
+def test_depths_are_the_first_layer_that_holds_a_target(
+    table_block, walk_block, monkeypatch
+):
+    # layer k holds 0..k, so target t has depth t up to the deepest layer,
+    # here 255, and none above it.  A table block of 7 cuts the range
+    # inside bytes; walk blocks of 10 cut each table block of 64 into runs
+    monkeypatch.setattr(pollock, "WITNESS_BLOCK", table_block)
+    monkeypatch.setattr(pollock, "_WALK_BLOCK", walk_block)
+    blocks = [pollock._block_ints(bytes(33), 263, table_block)]
+    for k in range(1, 256):
+        layer = ((1 << (k + 1)) - 1).to_bytes(33, "little")
+        blocks.append(pollock._block_ints(layer, 263, table_block))
+    runs = list(pollock._depths(blocks, 263, 3))
+    assert b"".join(runs) == bytes([*range(3, 256), *[0] * 8])
+    # each run stays inside a table block and is at most a walk block long
+    at = 3
+    for run in runs:
+        assert 0 < len(run) <= walk_block
+        assert at // table_block == (at + len(run) - 1) // table_block
+        at += len(run)
+    # the ints are freed as their depths are made
+    assert not any(any(layer) for layer in blocks)
+    # a depth past 255 does not fit a byte
+    deeper = [[(1 << (k + 1)) - 1] for k in range(257)]
+    monkeypatch.setattr(pollock, "WITNESS_BLOCK", 1 << 16)
+    with pytest.raises(ValueError, match="depth 256 at 0 exceeds a byte"):
+        next(pollock._depths(deeper, 300, 1))
+
+
+def test_strict_depths_stop_at_the_deepest_layer():
+    # the seven largest of the values 1..300 sum to 2079 and the six
+    # largest to 1785, so a distinct sum up to 2000 takes at most 7 terms,
+    # and the strict walk's 300 layers are its 8 first, repeated.  The
+    # depths are read from the layers up to the block's deepest alone, as
+    # they must be, since a byte holds no depth past 255
+    values = list(range(1, 301))
+    walks = []
+    for max_terms in (10, 300):
+        layers, _ = pollock._layer_masks(values, 2000, max_terms, True)
+        walks.append(list(pollock._witnesses(1, 2000, layers, values, True)))
+    assert walks[0] == walks[1]
+    targets, depths, _ = zip(*walks[1])
+    assert sum(targets, []) == list(range(1, 2001))
+    depths = b"".join(depths)
+    assert depths.index(7) == 1786 - 1 and max(depths) == 7
 
 
 def test_dense_layer_temporaries_stay_window_sized(monkeypatch):
@@ -513,8 +567,9 @@ def test_strict_recovery_never_reuses_a_value():
     values = [1, 2, 3, 4]
     for m, terms in ((9, (4, 3, 2)), (10, (4, 3, 2, 1))):
         layers, _ = pollock._layer_masks(values, m, 5, True)
-        [(targets, columns)] = pollock._witnesses(m, m, layers, values, True)
+        [(targets, depths, columns)] = pollock._witnesses(m, m, layers, values, True)
         assert targets == [m]
+        assert list(depths) == [len(terms)]
         assert tuple(values[i - 1] for i in next(zip(*columns)) if i) == terms
 
 
@@ -576,24 +631,30 @@ def test_walk_stops_on_a_corrupt_table(monkeypatch):
     # with the single value 5, F names 5 at 5, 10, 15 and 20 and is 0 elsewhere
     cases = [
         # a stream over 10 would drop a target that the layers reach
-        (10, 0, 1, "first-term table and layer 4 disagree at 10"),
+        ({10: 0}, 1, "first-term table and layer 4 disagree at 10"),
         # a block whose only target is dropped must not be skipped as empty
-        (20, 0, 16, "first-term table and layer 4 disagree at 20"),
+        ({20: 0}, 16, "first-term table and layer 4 disagree at 20"),
+        # nor may a block that the layers reach whole drop a target
+        ({20: 0}, 20, "first-term table and layer 4 disagree at 20"),
         # nor may the table name a first term for a target no layer holds
-        (12, 1, 1, "first-term table and layer 4 disagree at 12"),
+        ({12: 1}, 1, "first-term table and layer 4 disagree at 12"),
+        # even where it drops another, so that the counts agree
+        ({10: 0, 12: 1}, 1, "first-term table and layer 4 disagree at 10"),
         # past 10, the walk of 15 keeps the remainder 10 however many rounds
         # it runs, and must stop after as many terms as there are layers
-        (10, 0, 11, "walk of 15 leaves 10 after 4 terms"),
+        ({10: 0}, 11, "walk of 15 leaves 10 after 4 terms"),
     ]
     real = pollock._first_terms
     layers, _ = pollock._layer_masks([5], 20, 4, False)
-    for entry, value, lo, message in cases:
+    for entries, lo, message in cases:
 
         def corrupt(*args):
-            table = array("H", real(*args))
-            assert table[entry] == (entry % 5 == 0)
-            table[entry] = value
-            return table
+            table, blocks = real(*args)
+            table = array("H", table)
+            for entry, value in entries.items():
+                assert table[entry] == (entry % 5 == 0)
+                table[entry] = value
+            return table, blocks
 
         monkeypatch.setattr(pollock, "_first_terms", corrupt)
         started = time.perf_counter()

@@ -205,13 +205,17 @@ def test_witnesses_follow_the_largest_first_path(n, max_terms):
         assert min_term_decomposition(m, max_terms).term_values == PATHS[m]
 
 
+@pytest.mark.parametrize("table_block", [1, 7, 64, 1000])
 @pytest.mark.parametrize("block", [1, 7, 1000, 2500])
-def test_witness_text_at_any_walk_block(block, monkeypatch):
+def test_witness_text_at_any_walk_block(block, table_block, monkeypatch):
     # m's text is cut at its thousands, and the runs of targets that share
     # them meet the walk's blocks in every way: blocks of 1 and 7 cut a run
     # into many blocks, blocks of 1000 end each run one target into the
-    # next (the range starts at 1), and blocks of 2500 hold whole runs
+    # next (the range starts at 1), and blocks of 2500 hold whole runs.
+    # The json count of terms is the depth, made a table block at a time,
+    # so walk blocks also straddle table blocks, or fall inside one
     monkeypatch.setattr(pollock, "_WALK_BLOCK", block)
+    monkeypatch.setattr(pollock, "WITNESS_BLOCK", table_block)
     n = ORACLE_LIMIT
     for max_terms in (1, 3, 5):
         paths = [(t, PATHS[t]) for t in range(1, n + 1) if DEPTH[t] <= max_terms]
@@ -226,13 +230,15 @@ def test_witness_text_at_any_walk_block(block, monkeypatch):
         assert_cli_lines(n, max_terms, json_lines, table_lines)
 
 
-def flatten(blocks, block, values):
+def flatten(blocks, block, values, depth=DEPTH):
     """(m, term values) of every target of a block stream over [1, n], after
-    checking the shape of each block against a block size of `block`."""
+    checking the shape of each block against a block size of `block`, and
+    each target's depth against its number of terms and depth[m], the
+    oracle's; `depth` None checks the number of terms alone."""
     value_at = [0, *values]
     found = []
     windows = []
-    for targets, columns in blocks:
+    for targets, depths, columns in blocks:
         assert targets == sorted(targets)
         # a block's targets share one window of the range, and no window
         # comes twice
@@ -240,11 +246,14 @@ def flatten(blocks, block, values):
         assert (targets[-1] - 1) // block == window
         assert not windows or windows[-1] < window
         windows.append(window)
+        assert len(depths) == len(targets)
         assert all(len(column) == len(targets) for column in columns)
-        for m, row in zip(targets, zip(*columns)):
+        for m, d, row in zip(targets, depths, zip(*columns)):
             terms = tuple(value_at[i] for i in row if i)
             # the zeros come after the last term
             assert not any(row[len(terms) :])
+            assert d == len(terms)
+            assert depth is None or d == depth[m]
             found.append((m, terms))
     return found, windows
 
@@ -254,8 +263,9 @@ def scan_blocks(n, max_terms, strict_distinct):
     return pollock._scan(n, max_terms, strict_distinct)[2]
 
 
+@pytest.mark.parametrize("table_block", [1, 7, 64, 1000])
 @pytest.mark.parametrize("block", [1, 7, 64, 1000])
-def test_witness_blocks_join_up(block, monkeypatch):
+def test_witness_blocks_join_up(block, table_block, monkeypatch):
     n = ORACLE_LIMIT
     values = platonic_values_upto(n)
     strict_n = 300
@@ -263,13 +273,15 @@ def test_witness_blocks_join_up(block, monkeypatch):
         (w.target, w.term_values)
         for w in scan_with_witnesses(strict_n, strict_distinct=True)[1]
     ]
-    # blocks that are not whole bytes put block edges inside layer bytes
-    monkeypatch.setattr(pollock, "WITNESS_BLOCK", block)
+    # blocks that are not whole bytes put block edges inside layer bytes,
+    # and walk blocks of another size straddle the table's, whose depths
+    # the walk reads
+    monkeypatch.setattr(pollock, "WITNESS_BLOCK", table_block)
     monkeypatch.setattr(pollock, "_WALK_BLOCK", block)
     # the table names the first term of every reachable target at every
     # depth and nothing else; every step of the walk is one of its entries
     layers, _ = pollock._layer_masks(values, n, 5, False)
-    first = pollock._first_terms(layers, values, n)
+    first, _ = pollock._first_terms(layers, values, n)
     got = [values[i - 1] if i else None for i in first]
     assert got == [PATHS[t][0] if 1 <= DEPTH[t] <= 5 else None for t in range(n + 1)]
     for max_terms in (2, 5):
@@ -282,7 +294,7 @@ def test_witness_blocks_join_up(block, monkeypatch):
         if max_terms == 2 and block < 64:
             assert len(windows) < -(-n // block)
     blocks = scan_blocks(strict_n, 5, True)
-    assert flatten(blocks, block, values)[0] == strict
+    assert flatten(blocks, block, values, depth=None)[0] == strict
 
 
 def first_distinct_sums(values, limit, max_terms):
@@ -327,11 +339,13 @@ def strict_walk(values, limit, max_terms):
     layers, _ = pollock._layer_masks(values, limit, max_terms, True)
     with mock.patch.object(pollock, "_strict_search", counting):
         blocks = pollock._witnesses(1, limit, layers, values, True)
-        found = [
-            (m, tuple(values[i - 1] for i in row if i))
-            for targets, columns in blocks
-            for m, row in zip(targets, zip(*columns))
-        ]
+        found = []
+        for targets, depths, columns in blocks:
+            for m, depth, row in zip(targets, depths, zip(*columns)):
+                terms = tuple(values[i - 1] for i in row if i)
+                # a distinct sum has as many terms as its depth
+                assert depth == len(terms)
+                found.append((m, terms))
     return found, rebuilt
 
 
@@ -340,10 +354,16 @@ def strict_walk(values, limit, max_terms):
 FAILING_ROWS = (57, 193, 88, 1, 0)
 
 
+@pytest.mark.parametrize("table_block", [7, pollock.WITNESS_BLOCK])
 @pytest.mark.parametrize("family", range(5))
-def test_strict_walk_of_one_family_matches_combinations(family, monkeypatch):
+def test_strict_walk_of_one_family_matches_combinations(
+    family, table_block, monkeypatch
+):
     # a one-family pool is small enough that the first-term table's choice
-    # often strands the rest of a distinct sum, which the walk must catch
+    # often strands the rest of a distinct sum, which the walk must catch;
+    # the rebuild searches each target at its depth, which table blocks of
+    # 7 make a block at a time inside the walk's
+    monkeypatch.setattr(pollock, "WITNESS_BLOCK", table_block)
     n = ORACLE_LIMIT
     form = CLOSED_FORMS[family]
     values = [form(k) for k in range(1, n + 1) if form(k) <= n]

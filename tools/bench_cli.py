@@ -7,14 +7,16 @@ Each command line runs `platonics ARGS` as `python -m platonics` would, with
 PYTHONPATH set to the tree's `src`, once per tree per round.  The rounds
 alternate which tree goes first, so drift in the host's speed falls on both
 sides alike.  Per command and tree the output records the wall clock, the
-peak resident set size, the minor page faults and the system CPU seconds of
-every run, their median and quartiles, the exit codes, and the sha256 of
-stdout; both must agree between the trees for a refactor that keeps
+peak resident set size, the minor page faults and the user and system CPU
+seconds of every run, their median and quartiles, the exit codes, and the
+sha256 of stdout; both must agree between the trees for a refactor that keeps
 outputs byte-identical, and the script exits 1 where either differs.  The
 peak is the child's own VmHWM, which it reads from /proc/self/status as it
 exits: the rusage maximum of a child starts at the RSS of the process that
-forked it, so it cannot show a peak below this script's own.  The faults and the system time come from the child's own
-getrusage at the same point, so they leave out the fork and exec.
+forked it, so it cannot show a peak below this script's own.  The faults
+and the CPU times come from the child's own getrusage at the same point, so
+they leave out the fork and exec; on a busy host the user time tells a
+change from drift better than the wall clock does.
 
 The file is one JSON object, the schema every BENCH_<n>.json written with
 this script shares:
@@ -23,10 +25,11 @@ this script shares:
      "commands": [{"args": "...", "trees": {"base": STATS, "change": STATS}}]}
 
     STATS = {"wall_s": {"median", "q1", "q3", "runs": [...]},
-             "vmhwm_mb": {...}, "minflt": {...}, "sys_s": {...},
-             "exit": [...], "stdout_sha256": [...]}
+             "vmhwm_mb": {...}, "minflt": {...}, "user_s": {...},
+             "sys_s": {...}, "exit": [...], "stdout_sha256": [...]}
 
-minflt and sys_s were added to STATS later; files written before lack them.
+minflt, user_s and sys_s were added to STATS later; files written before
+lack them.
 
 Other sections (stage timings, notes) may be added to the object by hand;
 the script keeps any key of an existing --out file that it does not write.
@@ -49,15 +52,15 @@ from pathlib import Path
 SCHEMA = "bench_cli/1"
 
 #: Runs platonics as `python -m platonics ARGS` does, then writes its VmHWM
-#: in kB, its minor page faults and its system CPU seconds to the file named
-#: by the first argument.
+#: in kB, its minor page faults and its user and system CPU seconds to the
+#: file named by the first argument.
 CHILD = """
 import atexit, resource, runpy, sys
 def report(path=sys.argv[1]):
     usage = resource.getrusage(resource.RUSAGE_SELF)
     with open("/proc/self/status") as status, open(path, "w") as out:
         hwm = next(l for l in status if l.startswith("VmHWM")).split()[1]
-        out.write(f"{hwm} {usage.ru_minflt} {usage.ru_stime}")
+        out.write(f"{hwm} {usage.ru_minflt} {usage.ru_utime} {usage.ru_stime}")
 atexit.register(report)
 sys.argv = ["platonics", *sys.argv[2:]]
 runpy.run_module("platonics", run_name="__main__", alter_sys=True)
@@ -65,8 +68,8 @@ runpy.run_module("platonics", run_name="__main__", alter_sys=True)
 
 
 def run_once(tree: Path, args: list[str]) -> tuple:
-    """Wall seconds, VmHWM in MB, minor faults, system seconds, exit code
-    and stdout sha256 of one run."""
+    """Wall seconds, VmHWM in MB, minor faults, user and system seconds,
+    exit code and stdout sha256 of one run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryDirectory() as tmp:
         peak = Path(tmp) / "vmhwm"
@@ -82,9 +85,10 @@ def run_once(tree: Path, args: list[str]) -> tuple:
         digest = hashlib.sha256()
         for chunk in iter(lambda: out.read(1 << 20), b""):
             digest.update(chunk)
-        hwm_kb, minflt, sys_s = peak.read_text().split()
+        hwm_kb, minflt, user_s, sys_s = peak.read_text().split()
     hwm_mb = int(hwm_kb) / 1024
-    return wall, hwm_mb, int(minflt), float(sys_s), code, digest.hexdigest()
+    cpu = float(user_s), float(sys_s)
+    return wall, hwm_mb, int(minflt), *cpu, code, digest.hexdigest()
 
 
 def summary(samples: list[float]) -> dict:
@@ -104,19 +108,20 @@ def bench(trees: dict[str, Path], command: str, runs: int) -> dict:
     for round_ in range(runs):
         for name in names if round_ % 2 == 0 else names[::-1]:
             taken[name].append(run_once(trees[name], args))
-            wall, hwm, minflt, sys_s, code, _ = taken[name][-1]
+            wall, hwm, minflt, user_s, sys_s, code, _ = taken[name][-1]
             print(
                 f"{command} [{name}] {wall:.3f} s {hwm:.1f} MB {minflt} faults"
-                f" {sys_s:.3f} s sys exit {code}",
+                f" {user_s:.3f} s user {sys_s:.3f} s sys exit {code}",
                 file=sys.stderr,
             )
     result = {}
     for name, samples in taken.items():
-        walls, hwms, minflts, sys_ss, codes, digests = zip(*samples)
+        walls, hwms, minflts, user_ss, sys_ss, codes, digests = zip(*samples)
         result[name] = {
             "wall_s": summary(list(walls)),
             "vmhwm_mb": summary(list(hwms)),
             "minflt": summary(list(minflts)),
+            "user_s": summary(list(user_ss)),
             "sys_s": summary(list(sys_ss)),
             "exit": sorted(set(codes)),
             "stdout_sha256": sorted(set(digests)),
