@@ -32,8 +32,9 @@ the library unpacks into Witness objects.  Every step is one lookup in a
 single first-term table over [0, limit], filled by bulk passes per layer
 and pool value over blocks of targets, and a block is walked in rounds,
 each one lookup for all its targets at once, until every remainder is 0.
-The depths come from the same blocks of the layers, as bitplanes spread
-into byte lanes like the table's pool indices.  With distinct values a
+The fill also makes the depths, as bitplanes of the targets each layer
+adds, and the walk spreads a block's window of them into byte lanes as
+the fill spreads the table's pool indices.  With distinct values a
 block whose terms all strictly descend is done; any other block is rebuilt
 by a depth-first search per target, at its depth, that the layers prune.
 """
@@ -504,7 +505,7 @@ def _with_provenance(
 WITNESS_BLOCK = 1 << 16
 
 #: Per bit b, a table from "0"/"1" to the byte 0/2**b, which spreads one
-#: bitplane of pool indices or depths into byte lanes.
+#: bitplane of pool indices or depths into byte lanes (_lanes).
 _LANE_BIT = [bytes.maketrans(b"01", bytes([0, 1 << b])) for b in range(8)]
 
 
@@ -532,43 +533,92 @@ def _shifted_window(blocks: list[int], s: int, width: int) -> int:
     return blocks[q] >> r | blocks[q + 1] << (width - r)
 
 
+def _lanes(planes: Iterable[int], span: int) -> bytes:
+    """`span` bytes, byte t of which has bit b set where bit t of plane b is,
+    for at most 8 planes of at most `span` bits.
+
+    Each plane's binary text is translated to byte lanes (_LANE_BIT) and the
+    lanes are ORed, so a plane costs one text and an empty one nothing."""
+    acc = 0
+    for plane, translate in zip(planes, _LANE_BIT):
+        if plane:
+            # the text is most significant bit first, so read it big-endian
+            text = format(plane, f"0{span}b").encode().translate(translate)
+            acc |= int.from_bytes(text, "big")
+    return acc.to_bytes(span, "little")
+
+
+def _depth_bytes(planes: list[list[int]], start: int, stop: int) -> bytes:
+    """The depths of the targets start..stop - 1, one byte each, from the
+    depth planes of _first_terms; each plane's window joins as many of its
+    ints of WITNESS_BLOCK bits as the range spans."""
+    width = WITNESS_BLOCK
+    first, last = start // width, (stop - 1) // width
+    shift, low = start - first * width, (1 << (stop - start)) - 1
+    windows = []
+    for plane in planes:
+        joined = plane[last]
+        for j in reversed(range(first, last)):
+            joined = joined << width | plane[j]
+        windows.append(joined >> shift & low)
+    return _lanes(windows, stop - start)
+
+
 def _first_terms(
     layers: list[bytes], values: list[int], limit: int
 ) -> tuple[memoryview, list[list[int]]]:
-    """F over [0, limit], and the layers cut into ints of WITNESS_BLOCK bits
-    (_block_ints): F[m] is 1 + the pool index of the largest value v such
-    that m - v is in the layer below m's depth; 0 where no layer holds m.
+    """F over [0, limit], and the depth of every target in [0, limit] as
+    bitplanes cut into ints of WITNESS_BLOCK bits (_block_ints).  F[m] is
+    1 + the pool index of the largest value v such that m - v is in the
+    layer below m's depth, 0 where no layer holds m; plane b holds the
+    targets whose depth has bit b set, so an unreached target is in none.
 
     With repeats such an m - v has depth exactly depth(m) - 1, with distinct
     values at most that, so F serves every step of a walk.  Each layer is
     first taken out of the list given and cut into block ints, so its bytes
-    go once it is cut if nothing else holds them; the block ints are handed
-    on, for the walk's depths (_depths).  The table is then filled one
-    block of targets at a time, one pass per layer k and pool value,
-    largest value first: the targets of depth k still open are T, the hits
-    are T & (L[k-1] << v), and each hit takes v and leaves T.  A pass's
-    window of layer k - 1 starts at a bit offset s and is two shifts and an
-    OR of the block ints that hold it (_shifted_window).
+    go once it is cut if nothing else holds them.  The table is then filled
+    one block of targets at a time, from the top block down, one pass per
+    layer k and pool value, largest value first: the targets of depth k
+    still open are T, the hits are T & (L[k-1] << v), and each hit takes v
+    and leaves T.  Before its passes, T is ORed into the depth planes of
+    the bits of k.  The layers are cumulative, so the block's passes stop
+    at the first k whose layer k - 1 equals the deepest layer there: no
+    target of the block is deeper.  A byte holds a depth up to 255: the
+    strict scans' ceilings keep every depth under 179.  A pass's window of
+    layer k - 1 starts at a bit offset s < lo and is two shifts and an OR
+    of the block ints that hold it (_shifted_window), so a block reads no
+    layer block above its own, and its own are freed once it is filled.
     The hits are not read out bit by bit: they are ORed into one bitplane
-    per bit of the index, and at the end of the block each plane is spread
-    into byte lanes (its binary text, translated) and the lanes are written
-    into F.  'H' holds the index of every pool up to the scan ceiling,
-    which has about 2,500 values.
+    per bit of the index, and at the end of the block the planes are
+    spread into byte lanes (_lanes) and written into F.  'H' holds the
+    index of every pool up to the scan ceiling, which has about 2,500
+    values.
     """
     width = WITNESS_BLOCK
     # the list given is emptied as its layers are cut, so the bytes that
     # nothing else holds go before the table is allocated
     layers = [_block_ints(layers.pop(0), limit, width) for _ in range(len(layers))]
+    deepest = layers[-1]
+    depths: list[list[int]] = []
     table = bytearray(2 * (limit + 1))
     # the low byte of a native 16-bit lane comes first on a little-endian host
     offsets = (0, 1) if sys.byteorder == "little" else (1, 0)
-    for j, lo in enumerate(range(0, limit + 1, width)):
+    for j in reversed(range(len(deepest))):
+        lo = j * width
         hi = min(lo + width, limit + 1)
-        span = hi - lo
         planes = [0] * 16
         for k in range(1, len(layers)):
             below = layers[k - 1]
+            if below[j] == deepest[j]:
+                break
+            if k > 255:
+                raise ValueError(f"depth {k} at {lo} exceeds a byte")
             open_ = layers[k][j] & ~below[j]
+            if k.bit_length() > len(depths):
+                depths.append([0] * len(deepest))
+            for bit in range(k.bit_length()):
+                if k >> bit & 1:
+                    depths[bit][j] |= open_
             for i in range(bisect_right(values, hi - 1) - 1, -1, -1):
                 if not open_:
                     break
@@ -589,64 +639,12 @@ def _first_terms(
                 raise RuntimeError(
                     f"no predecessor for {m} at layer {k}; masks corrupt"
                 )
-        for half, offset in enumerate(offsets):
-            acc = 0
-            for bit, translate in enumerate(_LANE_BIT):
-                plane = planes[8 * half + bit]
-                if plane:
-                    # the text is most significant bit first, so read it big-endian
-                    text = format(plane, f"0{span}b").encode().translate(translate)
-                    acc |= int.from_bytes(text, "big")
-            table[2 * lo + offset : 2 * hi : 2] = acc.to_bytes(span, "little")
-    return memoryview(table).cast("H"), layers
-
-
-def _depths(blocks: list[list[int]], limit: int, lo: int) -> Iterator[bytes]:
-    """The depth of every target from lo to limit, one byte each, in runs
-    of at most _WALK_BLOCK targets that stay inside one block of
-    WITNESS_BLOCK targets, the first starting at lo; 0 where no layer holds
-    the target.
-
-    `blocks` are the layers 0..built cut into block ints (_first_terms).
-    The layers are cumulative, so the targets of depth k are those of
-    layer k less those of layer k - 1, and the deepest layer that adds any
-    in a block is top, the first whose block equals the deepest's.  The
-    targets of each depth k up to top are ORed into one bitplane per bit
-    of k, and the block's ints are freed.  A run's depths are its window of
-    each plane spread into byte lanes (its binary text, translated) and
-    ORed, as the table's pool indices are, so a run costs a text per bit of
-    the depth that it holds, not per layer.  A byte holds a depth up to
-    255: the strict scans' ceilings keep every depth under 179.  A run is a
-    walk block long, so that neither its texts nor what the walk holds of
-    it grow with a table block.
-    """
-    width = WITNESS_BLOCK
-    deepest = blocks[-1]
-    for j in range(lo // width, len(deepest)):
-        start = j * width
-        span = min(width, limit + 1 - start)
-        top = next(k for k in range(1, len(blocks)) if blocks[k][j] == deepest[j])
-        if top > 255:
-            raise ValueError(f"depth {top} at {start} exceeds a byte")
-        planes = [0] * top.bit_length()
-        for k in range(1, top + 1):
-            new = blocks[k][j] & ~blocks[k - 1][j]
-            for bit in range(k.bit_length()):
-                if k >> bit & 1:
-                    planes[bit] |= new
-        for layer in blocks:
+        for layer in layers:
             layer[j] = None
-        for c in range(max(lo - start, 0), span, _WALK_BLOCK):
-            size = min(_WALK_BLOCK, span - c)
-            low = (1 << size) - 1
-            acc = 0
-            for plane, translate in zip(planes, _LANE_BIT):
-                window = plane >> c & low
-                if window:
-                    # the text is most significant bit first, so read it big-endian
-                    text = format(window, f"0{size}b").encode().translate(translate)
-                    acc |= int.from_bytes(text, "big")
-            yield acc.to_bytes(size, "little")
+        for half, offset in enumerate(offsets):
+            bits = planes[8 * half : 8 * half + 8]
+            table[2 * lo + offset : 2 * hi : 2] = _lanes(bits, hi - lo)
+    return memoryview(table).cast("H"), depths
 
 
 #: The walk yields its witnesses this many targets at a time.  Blocks of
@@ -684,12 +682,12 @@ def _witnesses(
     `limit`.  With repeats the walk empties that list as it cuts the layers
     into block ints (_first_terms), so each layer's bytes go before the
     first-term table is allocated, unless something else holds them.  A
-    target's depth is the first layer that holds it; the walk reads it from
-    the block ints, a table block at a time (_depths), and frees the ints
-    as it goes.  Its terms come from walking back through the layers, each
-    step taking the largest pool value that leaves a remainder in the layer
-    below.  With repeats that choice always completes, and every step is
-    one lookup in the first-term table (_first_terms) over [0, limit]: the
+    target's depth is the first layer that holds it; the table's fill makes
+    the depths as bitplanes, and the walk reads each block's window of them
+    (_depth_bytes).  Its terms come from walking back through the layers,
+    each step taking the largest pool value that leaves a remainder in the
+    layer below.  With repeats that choice always completes, and every step
+    is one lookup in the first-term table (_first_terms) over [0, limit]: the
     first column is a slice of the table, and each later one is a round of
     lookups at the block's remainders.  A round whose term values equal
     the remainders leaves all of them 0, so the block ends there without
@@ -715,21 +713,14 @@ def _witnesses(
         search = _strict_search(values, layers)
     # the strict fallback reads the layers' bytes for the whole stream, so
     # _first_terms empties a copy of the list
-    first, blocks = _first_terms(
+    first, planes = _first_terms(
         layers[:] if strict_distinct else layers, values, limit
     )
-    runs = _depths(blocks, limit, lo)
-    # run holds the depths of the targets from run_lo up
-    run, run_lo = b"", lo
     # the table holds 1 + a pool index, so that 0 can mean "unreached"
     value_at = [0, *values]
     for start in range(lo, limit + 1, _WALK_BLOCK):
         stop = min(start + _WALK_BLOCK, limit + 1)
-        window = run[start - run_lo : stop - run_lo]
-        while len(window) < stop - start:
-            run_lo += len(run)
-            run = next(runs)
-            window += run[: stop - run_lo]
+        window = _depth_bytes(planes, start, stop)
         column = first[start:stop].tolist()
         if 0 not in window:
             targets, depths = list(range(start, stop)), window

@@ -387,10 +387,10 @@ def test_corrupt_first_term_table_exits_4(monkeypatch, capsys):
     real = pollock._first_terms
 
     def corrupt(*args):
-        table, blocks = real(*args)
+        table, planes = real(*args)
         table = array("H", table)
         table[10] = 0  # drops 10, which the pool value 10 reaches
-        return table, blocks
+        return table, planes
 
     monkeypatch.setattr(pollock, "_first_terms", corrupt)
     code, out, err = run_cli(["pollock", "20", "--witnesses"], capsys)

@@ -26,6 +26,7 @@ from platonics import (
 )
 from platonics import pollock
 from known_sums import REFERENCE_SUMS
+from test_scan_oracle import ORACLE_LIMIT
 
 
 def brute_force_min_terms(limit, max_terms):
@@ -392,8 +393,9 @@ def test_default_walk_cuts_each_layer_once():
     # the default walk takes each layer's bytes out of the list it is given
     # as it cuts them, so the bytes are gone before the first-term table
     # (two bytes a target) is allocated, though the caller holds the list.
-    # For the rest of the stream it holds the table and the layers' block
-    # ints, which it frees a table block at a time as it reads the depths
+    # The fill frees the layers' block ints a table block at a time, so
+    # for the rest of the stream the walk holds the table and the depth
+    # planes
     n = 10**6
     values = [entry.value for entry in platonic_pool(n)]
     layer = sys.getsizeof((1 << (n + 1)) - 1)
@@ -414,34 +416,50 @@ def test_default_walk_cuts_each_layer_once():
     assert peak <= 24 * layer, peak / layer
 
 
+def test_strict_walk_after_its_fill_holds_no_block_ints():
+    # the fill frees each block of the layers' ints once it has filled that
+    # block, so after it the strict walk holds the layers' bytes, which its
+    # search reads, the first-term table (two bytes a target) and a few
+    # depth planes (a bit a target each)
+    n, max_terms = 200_000, 25
+    values = [entry.value for entry in platonic_pool(n)]
+    depth = min(max_terms, len(values))
+    layer = sys.getsizeof((1 << (n + 1)) - 1)
+    tracemalloc.start()
+    try:
+        layers, _ = pollock._layer_masks(values, n, max_terms, True)
+        next(pollock._witnesses(1, n, layers, values, True))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= (depth + 1 + 16 + 6) * layer, held / layer
+
+
 @pytest.mark.parametrize("table_block, walk_block", [(7, 1024), (64, 10)])
 def test_depths_are_the_first_layer_that_holds_a_target(
     table_block, walk_block, monkeypatch
 ):
     # layer k holds 0..k, so target t has depth t up to the deepest layer,
     # here 255, and none above it.  A table block of 7 cuts the range
-    # inside bytes; walk blocks of 10 cut each table block of 64 into runs
+    # inside bytes, and a walk block of 1024 joins every one of them; walk
+    # blocks of 10 straddle table blocks of 64
     monkeypatch.setattr(pollock, "WITNESS_BLOCK", table_block)
-    monkeypatch.setattr(pollock, "_WALK_BLOCK", walk_block)
-    blocks = [pollock._block_ints(bytes(33), 263, table_block)]
-    for k in range(1, 256):
-        layer = ((1 << (k + 1)) - 1).to_bytes(33, "little")
-        blocks.append(pollock._block_ints(layer, 263, table_block))
-    runs = list(pollock._depths(blocks, 263, 3))
-    assert b"".join(runs) == bytes([*range(3, 256), *[0] * 8])
-    # each run stays inside a table block and is at most a walk block long
-    at = 3
-    for run in runs:
-        assert 0 < len(run) <= walk_block
-        assert at // table_block == (at + len(run) - 1) // table_block
-        at += len(run)
-    # the ints are freed as their depths are made
-    assert not any(any(layer) for layer in blocks)
+    layers = [((1 << (k + 1)) - 1).to_bytes(33, "little") for k in range(256)]
+    table, planes = pollock._first_terms(layers, [1], 263)
+    # the layers are taken out of the list given as they are cut
+    assert layers == []
+    # every target that a layer holds, but 0, takes the value 1 first
+    assert table.tolist() == [0, *[1] * 255, *[0] * 8]
+    depths = b"".join(
+        pollock._depth_bytes(planes, start, min(start + walk_block, 264))
+        for start in range(1, 264, walk_block)
+    )
+    assert depths == bytes([*range(1, 256), *[0] * 8])
     # a depth past 255 does not fit a byte
-    deeper = [[(1 << (k + 1)) - 1] for k in range(257)]
+    deeper = [((1 << (k + 1)) - 1).to_bytes(38, "little") for k in range(257)]
     monkeypatch.setattr(pollock, "WITNESS_BLOCK", 1 << 16)
     with pytest.raises(ValueError, match="depth 256 at 0 exceeds a byte"):
-        next(pollock._depths(deeper, 300, 1))
+        pollock._first_terms(deeper, [1], 300)
 
 
 def test_strict_depths_stop_at_the_deepest_layer():
@@ -649,12 +667,12 @@ def test_walk_stops_on_a_corrupt_table(monkeypatch):
     for entries, lo, message in cases:
 
         def corrupt(*args):
-            table, blocks = real(*args)
+            table, planes = real(*args)
             table = array("H", table)
             for entry, value in entries.items():
                 assert table[entry] == (entry % 5 == 0)
                 table[entry] = value
-            return table, blocks
+            return table, planes
 
         monkeypatch.setattr(pollock, "_first_terms", corrupt)
         started = time.perf_counter()
@@ -684,10 +702,41 @@ def test_corrupt_strict_masks_raise(layer, message):
         list(pollock._witnesses(1, 12, layers, values, True))
 
 
-def test_strict_never_beats_default():
-    for m in range(1, 101):
-        default = min_term_decomposition(m)
-        strict = min_term_decomposition(m, strict_distinct=True)
-        if strict is not None:
-            assert default is not None
-            assert len(default.terms) <= len(strict.terms)
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=ORACLE_LIMIT),
+    max_terms=st.integers(min_value=1, max_value=8),
+)
+@example(n=100, max_terms=5)
+@example(n=ORACLE_LIMIT, max_terms=3)
+@example(n=ORACLE_LIMIT, max_terms=8)
+def test_strict_never_beats_default(n, max_terms):
+    # a distinct sum is a sum, so no target's strict depth is below its
+    # default depth, and a default witness with distinct values is a
+    # distinct sum of as many terms, so there the depths are equal: only a
+    # target whose default witness repeats a value can go deeper, or fail,
+    # in strict mode alone.  The depths are the ones the walks yield
+    failures, rows = {}, {}
+    for strict in (False, True):
+        report, _, blocks = pollock._scan(n, max_terms, strict)
+        failures[strict] = set(report.failures)
+        rows[strict] = {
+            m: (d, [i for i in row if i])
+            for targets, depths, columns in blocks
+            for m, d, row in zip(targets, depths, zip(*columns))
+        }
+    default, strict = rows[False], rows[True]
+    assert strict.keys() <= default.keys()
+    repeats = {m for m, (_, row) in default.items() if len(set(row)) < len(row)}
+    for m, (depth, _) in strict.items():
+        assert depth >= default[m][0]
+        assert depth == default[m][0] or m in repeats
+    assert failures[True] <= failures[False] | repeats
+    # a single target takes the same depth in each mode as the stream
+    for m in range(max(1, n - 99), n + 1):
+        for mode in (False, True):
+            witness = min_term_decomposition(m, max_terms, strict_distinct=mode)
+            if m in failures[mode]:
+                assert witness is None
+            else:
+                assert len(witness.terms) == rows[mode][m][0]
