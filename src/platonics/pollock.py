@@ -33,10 +33,12 @@ single first-term table over [0, limit], filled by bulk passes per layer
 and pool value over blocks of targets, and a block is walked in rounds,
 each one lookup for all its targets at once, until every remainder is 0.
 The fill also makes the depths, as bitplanes of the targets each layer
-adds, and the walk spreads a block's window of them into byte lanes as
-the fill spreads the table's pool indices.  With distinct values a
-block whose terms all strictly descend is done; any other block is rebuilt
-by a depth-first search per target, at its depth, that the layers prune.
+adds, one set per block of the table.  A walk block ends where its table
+block does, so the walk spreads one window of that block's planes into
+byte lanes, as the fill spreads the table's pool indices.  With distinct
+values a block whose terms all strictly descend is done; any other block
+is rebuilt by a depth-first search per target, at its depth, that the
+layers prune.
 """
 
 from __future__ import annotations
@@ -505,7 +507,8 @@ def _with_provenance(
 WITNESS_BLOCK = 1 << 16
 
 #: Per bit b, a table from "0"/"1" to the byte 0/2**b, which spreads one
-#: bitplane of pool indices or depths into byte lanes (_lanes).
+#: bitplane of a table block's pool indices, or of a walk block's depths,
+#: into byte lanes (_lanes).
 _LANE_BIT = [bytes.maketrans(b"01", bytes([0, 1 << b])) for b in range(8)]
 
 
@@ -548,30 +551,15 @@ def _lanes(planes: Iterable[int], span: int) -> bytes:
     return acc.to_bytes(span, "little")
 
 
-def _depth_bytes(planes: list[list[int]], start: int, stop: int) -> bytes:
-    """The depths of the targets start..stop - 1, one byte each, from the
-    depth planes of _first_terms; each plane's window joins as many of its
-    ints of WITNESS_BLOCK bits as the range spans."""
-    width = WITNESS_BLOCK
-    first, last = start // width, (stop - 1) // width
-    shift, low = start - first * width, (1 << (stop - start)) - 1
-    windows = []
-    for plane in planes:
-        joined = plane[last]
-        for j in reversed(range(first, last)):
-            joined = joined << width | plane[j]
-        windows.append(joined >> shift & low)
-    return _lanes(windows, stop - start)
-
-
 def _first_terms(
     layers: list[bytes], values: list[int], limit: int
 ) -> tuple[memoryview, list[list[int]]]:
-    """F over [0, limit], and the depth of every target in [0, limit] as
-    bitplanes cut into ints of WITNESS_BLOCK bits (_block_ints).  F[m] is
-    1 + the pool index of the largest value v such that m - v is in the
-    layer below m's depth, 0 where no layer holds m; plane b holds the
-    targets whose depth has bit b set, so an unreached target is in none.
+    """F over [0, limit], and the depths of every block of WITNESS_BLOCK
+    targets in [0, limit] as 8 bitplanes.  F[m] is 1 + the pool index of
+    the largest value v such that m - v is in the layer below m's depth, 0
+    where no layer holds m; bit t of plane b of depths[j] is set where the
+    depth of target j * WITNESS_BLOCK + t has bit b set, so an unreached
+    target is in none.
 
     With repeats such an m - v has depth exactly depth(m) - 1, with distinct
     values at most that, so F serves every step of a walk.  Each layer is
@@ -580,8 +568,8 @@ def _first_terms(
     one block of targets at a time, from the top block down, one pass per
     layer k and pool value, largest value first: the targets of depth k
     still open are T, the hits are T & (L[k-1] << v), and each hit takes v
-    and leaves T.  Before its passes, T is ORed into the depth planes of
-    the bits of k.  The layers are cumulative, so the block's passes stop
+    and leaves T.  Before its passes, T is ORed into the block's depth planes
+    of the bits of k.  The layers are cumulative, so the block's passes stop
     at the first k whose layer k - 1 equals the deepest layer there: no
     target of the block is deeper.  A byte holds a depth up to 255: the
     strict scans' ceilings keep every depth under 179.  A pass's window of
@@ -599,7 +587,7 @@ def _first_terms(
     # nothing else holds go before the table is allocated
     layers = [_block_ints(layers.pop(0), limit, width) for _ in range(len(layers))]
     deepest = layers[-1]
-    depths: list[list[int]] = []
+    depths: list[list[int]] = [[]] * len(deepest)
     table = bytearray(2 * (limit + 1))
     # the low byte of a native 16-bit lane comes first on a little-endian host
     offsets = (0, 1) if sys.byteorder == "little" else (1, 0)
@@ -607,6 +595,7 @@ def _first_terms(
         lo = j * width
         hi = min(lo + width, limit + 1)
         planes = [0] * 16
+        depths[j] = [0] * (len(layers) - 1).bit_length()
         for k in range(1, len(layers)):
             below = layers[k - 1]
             if below[j] == deepest[j]:
@@ -614,11 +603,9 @@ def _first_terms(
             if k > 255:
                 raise ValueError(f"depth {k} at {lo} exceeds a byte")
             open_ = layers[k][j] & ~below[j]
-            if k.bit_length() > len(depths):
-                depths.append([0] * len(deepest))
             for bit in range(k.bit_length()):
                 if k >> bit & 1:
-                    depths[bit][j] |= open_
+                    depths[j][bit] |= open_
             for i in range(bisect_right(values, hi - 1) - 1, -1, -1):
                 if not open_:
                     break
@@ -652,7 +639,8 @@ def _first_terms(
 #: 18.6 MB, and blocks of 65536 to 52 MB.
 _WALK_BLOCK = 1024
 
-#: (targets, depths, columns): the reachable targets of a block, ascending;
+#: (targets, depths, columns): the reachable targets of a walk block,
+#: ascending and inside one block of the first-term table;
 #: the depth of each, one byte per target, which is its number of terms;
 #: and per term j a column whose entry t is 1 + the pool index of term j of
 #: targets[t], or 0 past its last term.
@@ -675,16 +663,19 @@ def _witnesses(
     strict_distinct: bool,
 ) -> Iterator[_WitnessBlock]:
     """Blocks (_WitnessBlock) of a minimal witness for every m in [lo, limit]
-    that the layers reach, _WALK_BLOCK targets of the range at a time; a
-    block with no reachable target is skipped.
+    that the layers reach.  Each block of the first-term table's targets
+    (WITNESS_BLOCK) is walked from max(lo, its first target) on in slices
+    of _WALK_BLOCK targets, the last cut where the table block ends; a
+    slice with no reachable target yields no block.
 
     `layers` are _layer_masks over the ascending pool `values` up to
     `limit`.  With repeats the walk empties that list as it cuts the layers
     into block ints (_first_terms), so each layer's bytes go before the
     first-term table is allocated, unless something else holds them.  A
     target's depth is the first layer that holds it; the table's fill makes
-    the depths as bitplanes, and the walk reads each block's window of them
-    (_depth_bytes).  Its terms come from walking back through the layers,
+    the depths as bitplanes per table block, and a walk block reads its
+    depths as one shifted, masked window of its table block's planes
+    (_lanes).  Its terms come from walking back through the layers,
     each step taking the largest pool value that leaves a remainder in the
     layer below.  With repeats that choice always completes, and every step
     is one lookup in the first-term table (_first_terms) over [0, limit]: the
@@ -718,9 +709,13 @@ def _witnesses(
     )
     # the table holds 1 + a pool index, so that 0 can mean "unreached"
     value_at = [0, *values]
-    for start in range(lo, limit + 1, _WALK_BLOCK):
-        stop = min(start + _WALK_BLOCK, limit + 1)
-        window = _depth_bytes(planes, start, stop)
+    width = WITNESS_BLOCK
+    stop = lo
+    while stop <= limit:
+        start, j = stop, stop // width
+        stop = min(start + _WALK_BLOCK, (j + 1) * width, limit + 1)
+        shift, low = start - j * width, (1 << (stop - start)) - 1
+        window = _lanes([plane >> shift & low for plane in planes[j]], stop - start)
         column = first[start:stop].tolist()
         if 0 not in window:
             targets, depths = list(range(start, stop)), window

@@ -92,6 +92,10 @@ def test_gen_invalid_range(capsys):
     assert "error" in err
     code, _, _ = run_cli(["gen", "cube", "9..5"], capsys)
     assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "cube", "1-5"])
+    assert exc.value.code == 2
+    assert "expected N or LO..HI, got '1-5'" in capsys.readouterr().err
 
 
 def test_gen_unknown_kind_exits_2():
@@ -233,14 +237,25 @@ def test_index_ceilings_are_inclusive(capsys):
     assert out.count("\ncube,") == 4
 
 
-def test_represent_target_over_the_ceiling_exits_2(capsys):
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        (
+            "9" * (cli.REPRESENT_MAX_DIGITS + 1),
+            f"more than {cli.REPRESENT_MAX_DIGITS} digits",
+        ),
+        ("12x", "invalid int value: '12x'"),
+    ],
+    ids=["over-the-ceiling", "not-an-int"],
+)
+def test_represent_target_refused_at_parse_exits_2(target, message, capsys):
     limit = int_text_limit()
     started = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
-        cli.main(["represent", "tetrahedral", "9" * (cli.REPRESENT_MAX_DIGITS + 1)])
+        cli.main(["represent", "tetrahedral", target])
     assert time.perf_counter() - started < 1.0
     assert exc.value.code == 2
-    assert f"more than {cli.REPRESENT_MAX_DIGITS} digits" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert int_text_limit() == limit
 
 

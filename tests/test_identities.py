@@ -10,6 +10,7 @@ from platonics import (
     PlatonicKind,
     THIRD_DIFFERENCE_CONSTANTS,
     combined_residual_tetrahedral,
+    expected_difference,
     identity_residual,
     platonic_value,
 )
@@ -101,6 +102,10 @@ def test_validation():
         identity_residual(PlatonicKind.CUBE, 0, 1)
     with pytest.raises(ValueError):
         identity_residual(PlatonicKind.CUBE, 5, 1)
+    # identity_residual checks the order first, so only a direct call reaches
+    # the closed form's own check
+    with pytest.raises(ValueError, match="order must be in 1..4, got 5"):
+        expected_difference(PlatonicKind.CUBE, 5, 1)
     with pytest.raises(ValueError):
         identity_residual(PlatonicKind.CUBE, 2, 0)
     with pytest.raises(ValueError):

@@ -140,13 +140,24 @@ def test_verify_witness_examples():
     assert verify_witness(five_terms)
 
 
-def test_verify_witness_rejects_forged_value():
+@pytest.mark.parametrize(
+    "term",
+    [
+        # 9 is no platonic value: the cube of 2 is 8
+        PoolEntry(value=9, provenance=((PlatonicKind.CUBE, 2),)),
+        # no (kind, index) pair to re-derive the value from
+        PoolEntry(value=9, provenance=()),
+        # every family has f(0) = 0, but indices start at 1
+        PoolEntry(value=0, provenance=((PlatonicKind.CUBE, 0),)),
+    ],
+    ids=["value", "no-provenance", "index-0"],
+)
+def test_verify_witness_rejects_forged_value(term):
+    # the witness sums to its target within the budget, so only the
+    # provenance of its second term can reject it
     forged = Witness(
-        target=93,
-        terms=(
-            PoolEntry(value=85, provenance=((PlatonicKind.OCTAHEDRAL, 5),)),
-            PoolEntry(value=9, provenance=((PlatonicKind.CUBE, 2),)),
-        ),
+        target=85 + term.value,
+        terms=(PoolEntry(value=85, provenance=((PlatonicKind.OCTAHEDRAL, 5),)), term),
     )
     assert not verify_witness(forged)
 
@@ -441,8 +452,8 @@ def test_depths_are_the_first_layer_that_holds_a_target(
 ):
     # layer k holds 0..k, so target t has depth t up to the deepest layer,
     # here 255, and none above it.  A table block of 7 cuts the range
-    # inside bytes, and a walk block of 1024 joins every one of them; walk
-    # blocks of 10 straddle table blocks of 64
+    # inside bytes and each walk block of 1024 short; walk blocks of 10 are
+    # cut where table blocks of 64 end
     monkeypatch.setattr(pollock, "WITNESS_BLOCK", table_block)
     layers = [((1 << (k + 1)) - 1).to_bytes(33, "little") for k in range(256)]
     table, planes = pollock._first_terms(layers, [1], 263)
@@ -450,10 +461,18 @@ def test_depths_are_the_first_layer_that_holds_a_target(
     assert layers == []
     # every target that a layer holds, but 0, takes the value 1 first
     assert table.tolist() == [0, *[1] * 255, *[0] * 8]
-    depths = b"".join(
-        pollock._depth_bytes(planes, start, min(start + walk_block, 264))
-        for start in range(1, 264, walk_block)
-    )
+    # one set of planes per table block, read as the walk over [1, 263]
+    # reads them: a window of walk_block targets at a time from the table
+    # block's start or 1, spread into byte lanes
+    assert len(planes) == -(-264 // table_block)
+    depths = b""
+    for lo, block in zip(range(0, 264, table_block), planes):
+        hi = min(lo + table_block, 264)
+        for start in range(max(1, lo), hi, walk_block):
+            stop = min(start + walk_block, hi)
+            low = (1 << (stop - start)) - 1
+            window = [plane >> start - lo & low for plane in block]
+            depths += pollock._lanes(window, stop - start)
     assert depths == bytes([*range(1, 256), *[0] * 8])
     # a depth past 255 does not fit a byte
     deeper = [((1 << (k + 1)) - 1).to_bytes(38, "little") for k in range(257)]

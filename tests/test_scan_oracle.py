@@ -213,7 +213,8 @@ def test_witness_text_at_any_walk_block(block, table_block, monkeypatch):
     # into many blocks, blocks of 1000 end each run one target into the
     # next (the range starts at 1), and blocks of 2500 hold whole runs.
     # The json count of terms is the depth, made a table block at a time,
-    # so walk blocks also straddle table blocks, or fall inside one
+    # and a walk block ends where its table block does, so table blocks cut
+    # walk blocks short, or hold several
     monkeypatch.setattr(pollock, "_WALK_BLOCK", block)
     monkeypatch.setattr(pollock, "WITNESS_BLOCK", table_block)
     n = ORACLE_LIMIT
@@ -230,9 +231,18 @@ def test_witness_text_at_any_walk_block(block, table_block, monkeypatch):
         assert_cli_lines(n, max_terms, json_lines, table_lines)
 
 
-def flatten(blocks, block, values, depth=DEPTH):
-    """(m, term values) of every target of a block stream over [1, n], after
-    checking the shape of each block against a block size of `block`, and
+def walk_slice(t, block, table_block):
+    """(j, i): target t of a walk over [1, n] lies in table block j, of
+    `table_block` targets, and in slice i of that table block's targets
+    from max(1, j * table_block) on, cut every `block` targets."""
+    j = t // table_block
+    return j, (t - max(1, j * table_block)) // block
+
+
+def flatten(blocks, block, table_block, values, depth=DEPTH):
+    """(m, term values) of every target of a block stream over [1, n], and
+    the walk slice of each block, after checking the shape of each block
+    against walk and table blocks of `block` and `table_block` targets, and
     each target's depth against its number of terms and depth[m], the
     oracle's; `depth` None checks the number of terms alone."""
     value_at = [0, *values]
@@ -240,11 +250,15 @@ def flatten(blocks, block, values, depth=DEPTH):
     windows = []
     for targets, depths, columns in blocks:
         assert targets == sorted(targets)
-        # a block's targets share one window of the range, and no window
-        # comes twice
-        window = (targets[0] - 1) // block
-        assert (targets[-1] - 1) // block == window
+        # no block crosses a multiple of the table block, whose depths it
+        # reads
+        assert targets[0] // table_block == targets[-1] // table_block
+        # a block's targets share one walk slice, and the blocks ascend and
+        # never overlap
+        window = walk_slice(targets[0], block, table_block)
+        assert walk_slice(targets[-1], block, table_block) == window
         assert not windows or windows[-1] < window
+        assert not found or found[-1][0] < targets[0]
         windows.append(window)
         assert len(depths) == len(targets)
         assert all(len(column) == len(targets) for column in columns)
@@ -274,8 +288,7 @@ def test_witness_blocks_join_up(block, table_block, monkeypatch):
         for w in scan_with_witnesses(strict_n, strict_distinct=True)[1]
     ]
     # blocks that are not whole bytes put block edges inside layer bytes,
-    # and walk blocks of another size straddle the table's, whose depths
-    # the walk reads
+    # and a table block's end cuts the walk block that would cross it
     monkeypatch.setattr(pollock, "WITNESS_BLOCK", table_block)
     monkeypatch.setattr(pollock, "_WALK_BLOCK", block)
     # the table names the first term of every reachable target at every
@@ -287,14 +300,15 @@ def test_witness_blocks_join_up(block, table_block, monkeypatch):
     for max_terms in (2, 5):
         reachable = [t for t in range(1, n + 1) if DEPTH[t] <= max_terms]
         blocks = scan_blocks(n, max_terms, False)
-        found, windows = flatten(blocks, block, values)
+        found, windows = flatten(blocks, block, table_block, values)
         assert found == [(t, PATHS[t]) for t in reachable]
-        # a window with no reachable target yields no block
-        assert windows == sorted({(t - 1) // block for t in reachable})
+        # a slice with no reachable target yields no block
+        assert windows == sorted({walk_slice(t, block, table_block) for t in reachable})
         if max_terms == 2 and block < 64:
-            assert len(windows) < -(-n // block)
+            slices = {walk_slice(t, block, table_block) for t in range(1, n + 1)}
+            assert len(windows) < len(slices)
     blocks = scan_blocks(strict_n, 5, True)
-    assert flatten(blocks, block, values, depth=None)[0] == strict
+    assert flatten(blocks, block, table_block, values, depth=None)[0] == strict
 
 
 def first_distinct_sums(values, limit, max_terms):
@@ -362,7 +376,7 @@ def test_strict_walk_of_one_family_matches_combinations(
     # a one-family pool is small enough that the first-term table's choice
     # often strands the rest of a distinct sum, which the walk must catch;
     # the rebuild searches each target at its depth, which table blocks of
-    # 7 make a block at a time inside the walk's
+    # 7 make a block at a time, each cutting the walk's blocks short
     monkeypatch.setattr(pollock, "WITNESS_BLOCK", table_block)
     n = ORACLE_LIMIT
     form = CLOSED_FORMS[family]
@@ -376,8 +390,10 @@ def test_strict_walk_of_one_family_matches_combinations(
     monkeypatch.setattr(pollock, "_WALK_BLOCK", 1024)
     found, rebuilt = strict_walk(values, n, 25)
     assert first_difference(found, expected) is None
-    windows = {(m - 1) // 1024 for m in failing}
-    assert rebuilt == [m for m, _ in expected if (m - 1) // 1024 in windows]
+    windows = {walk_slice(m, 1024, table_block) for m in failing}
+    assert rebuilt == [
+        m for m, _ in expected if walk_slice(m, 1024, table_block) in windows
+    ]
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,6 +11,7 @@ from platonics import (
     SEQUENCE_MAX_INDEX,
     PlatonicKind,
     difference_table,
+    exact_div,
     forward_difference,
     platonic_value,
     platonic_values_by_recurrence,
@@ -169,6 +170,10 @@ def test_large_index_exact():
     # binomial(n+2, 3) is an independent route to the same product
     assert platonic_value(PlatonicKind.TETRAHEDRAL, n) == math.comb(n + 2, 3)
     assert platonic_value(PlatonicKind.CUBE, n) == n**3
+    # the closed forms divide exactly, and a remainder is an error, not a
+    # rounded value
+    with pytest.raises(ArithmeticError, match="7 is not divisible by 2"):
+        exact_div(7, 2)
 
 
 @pytest.mark.parametrize("kind", list(PlatonicKind))
