@@ -346,7 +346,9 @@ def _report_text(report: ScanReport) -> str:
 def _cmd_pollock(args: argparse.Namespace) -> int:
     if args.witnesses and args.format == "csv":
         raise ValueError("witness streaming needs table or json format")
-    report, pool, blocks = _scan(args.n, args.max_terms, args.strict_distinct)
+    # a report alone reads only the last layer, so no walk is built
+    first = 1 if args.witnesses else None
+    report, pool, blocks = _scan(args.n, args.max_terms, args.strict_distinct, first)
     if args.format == "json":
         pieces = [json.dumps(report.to_json_dict()) + "\n"]
     elif args.format == "table":

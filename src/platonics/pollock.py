@@ -9,19 +9,24 @@ build to the walk, and the build returns its bit count with it.  By default
 values may repeat inside a witness (the five families are what must
 differ); strict-distinct mode forbids repeated values.
 
-With repeats, each layer is built by the method that suits its density.
-Layers 1 and 2 are sparse, so their sums are enumerated into a bit-packed
-buffer, the pair sums through per-residue tables of byte offsets and bits.
-A later layer whose holes (integers not yet reached) are dense is built
-one window of bits at a time, so that no temporary is the size of a layer:
-the window shift-ors in the previous layer's bits by pool values while its
-holes are dense, the values nearest the window's start first, so that
-their bits come from the dense bottom of the previous layer, then tests
-each remaining hole against the values not yet shifted in.  A layer whose
-holes are already sparse tests them all at once.  Layering stops at the
-fixpoint.  The holes of a layer, and so the failures of the last one, are
-found a byte that is not full at a time.  Every layer is bit-identical to
-the plain shift-or over the whole pool.
+With repeats, the layers are grown in place in one buffer, layer k over
+layer k - 1, by the method that suits each one's density; a walk needs
+every layer, so for one each is copied to bytes before it is grown, and a
+report alone holds the last.  Layers 1 and 2 are sparse, so their sums are
+enumerated into the bit-packed buffer, the pair sums through per-residue
+tables of byte offsets and bits.  A later layer whose holes (integers not
+yet reached) are dense is built one window of bits at a time, from the top
+down, so that no temporary is the size of a layer: the window shift-ors in
+the previous layer's bits by pool values while its holes are dense, the
+values nearest the window's start first, so that their bits come from the
+dense bottom of the previous layer, then tests each remaining hole against
+the values not yet shifted in.  Those tests read the previous layer below
+the window's top, so the window is written over it only after them.  A
+layer whose holes are already sparse tests them all at once and sets the
+ones reached only after every test.  Layering stops at the fixpoint.  The
+holes of a layer, and so the failures of the last one, are found a byte
+that is not full at a time.  Every layer is bit-identical to the plain
+shift-or over the whole pool.
 
 A witness is recovered by walking back through the layers, taking the
 largest pool value that leaves a remainder in the layer below.  One walk,
@@ -175,7 +180,11 @@ def witness_from_values(
 
 
 def _layer_masks(
-    values: list[int], limit: int, max_terms: int, strict_distinct: bool
+    values: list[int],
+    limit: int,
+    max_terms: int,
+    strict_distinct: bool,
+    walk: bool = True,
 ) -> tuple[list[bytes], list[int]]:
     """Cumulative reachability layers and their bit counts; layers[k] holds
     the sums of at most k terms, as limit // 8 + 1 little-endian bytes.
@@ -183,8 +192,16 @@ def _layer_masks(
     `values` must be strictly ascending and lie in [1, limit], and max_terms
     must be at least 1.  Bit 0 stands for the empty sum.  With repeats,
     layering stops at the fixpoint; with distinct values, at the pool size.
-    So the list may be shorter than max_terms + 1: every later layer equals
-    the last one.
+    So there may be fewer than max_terms + 1 counts: every later layer
+    equals the last one.
+
+    `walk` says whether a witness walk will read the layers.  Without one
+    only the last layer is returned, and the counts are the same.  With
+    repeats every layer is grown in place in one buffer: layer k - 1 is read
+    only while layer k is built over it (_grow_layer), and for a walk it is
+    first copied to bytes.  A last layer that adds nothing equals the one
+    below, since the layers are cumulative, so dropping it drops only its
+    count and, for a walk, the copy below it.
     """
     size = limit // 8 + 1
     if strict_distinct:
@@ -198,18 +215,22 @@ def _layer_masks(
             for k in range(len(masks) - 1, 0, -1):
                 masks[k] = (masks[k] | (masks[k - 1] << v)) & full
         counts = [mask.bit_count() for mask in masks]
+        if not walk:
+            del masks[:-1]
         # each mask gives way to its bytes, so no layer is held twice
         for k, mask in enumerate(masks):
             masks[k] = mask.to_bytes(size, "little")
         return masks, counts
     buf = bytearray(size)
     buf[0] = 1
-    layers = [bytes(buf)]
+    # the layers below the one in buf, which only a walk reads
+    layers = [bytes(buf)] if walk else []
     for v in values:
         buf[v >> 3] |= 1 << (v & 7)
-    layers.append(bytes(buf))
     counts = [1, 1 + len(values)]
     if max_terms > 1:
+        if walk:
+            layers.append(bytes(buf))
         # v = 8q + r puts v + w at byte q + ((w + r) >> 3), bit (w + r) & 7,
         # so two tables per residue r, of every w's byte offset and bit,
         # serve each v of that residue
@@ -224,16 +245,18 @@ def _layer_masks(
             for b, m in zip(offsets[r][i:stop], bits[r][i:stop]):
                 buf[q + b] |= m
         del offsets, bits  # so the dense layers are not built beside them
-        layers.append(buf)
         counts.append(int.from_bytes(buf, "little").bit_count())
     # with repeats, a layer that adds nothing is a fixpoint, and so is a
     # full one
-    while len(layers) <= max_terms and counts[-2] < counts[-1] <= limit:
-        layer, count = _grow_layer(layers[-1], counts[-1], values, limit)
-        layers.append(layer)
-        counts.append(count)
+    while len(counts) <= max_terms and counts[-2] < counts[-1] <= limit:
+        if walk:
+            layers.append(bytes(buf))
+        counts.append(_grow_layer(buf, counts[-1], values, limit))
     if counts[-1] == counts[-2]:
-        del layers[-1], counts[-1]
+        del counts[-1]
+        if walk:
+            del layers[-1]
+    layers.append(buf)
     return layers, counts
 
 
@@ -261,40 +284,43 @@ MAX_CHUNK = 16
 LAYER_WINDOW = 1 << 19
 
 
-def _grow_layer(
-    previous: bytes, count: int, values: list[int], limit: int
-) -> tuple[bytearray, int]:
-    """Layer k and its bit count from layer k - 1 = previous, of `count`
-    bits, for k >= 3.
+def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> int:
+    """Turn layer k - 1, of `count` bits, into layer k in place, for k >= 3,
+    and return the new bit count.
 
     A layer whose holes (integers not yet reached) are sparse over the whole
     range finds them once (_holes) and tests each against the values
-    (_fill_holes).
+    (_fill_holes), which reads layer k - 1 and writes nothing; the holes it
+    fills are set afterwards.
 
     A denser layer is built one window of LAYER_WINDOW bits at a time, from
-    the top down, out of `previous` cut into block ints of that width.
+    the top down, out of layer k - 1 cut into block ints of that width.
     Window j, whose first bit is lo, starts from block j.  While its holes
-    are dense it ORs in, value by value, the window of `previous` at offset
-    s = lo - v: a value v <= lo as one right shift of a pair int that joins
-    blocks s // width and s // width + 1, a larger v as block 0 shifted
-    left.  One pair int is alive at a time, with a copy cut to 1.5 widths
-    for the shifts that would leave more bits than that above the window.
-    The values nearest lo go first, since they read the bottom of the
-    previous layer, where its sums are densest, so each shift fills more
-    holes.  Windows 0 and 1 take the values smallest first instead: that
-    already reads blocks 0 and 1, and their shifts by values near lo would
-    be longer.  Each remaining hole is then tested against the values not
-    shifted in, in the same order.  Window j reads only blocks up to j, so
-    a block is freed once its window is done.  The count is each window's
-    bits after shifting plus the holes the tests fill.
+    are dense it ORs in, value by value, the window of layer k - 1 at
+    offset s = lo - v: a value v <= lo as one right shift of a pair int
+    that joins blocks s // width and s // width + 1, a larger v as block 0
+    shifted left.  One pair int is alive at a time, with a copy cut to 1.5
+    widths for the shifts that would leave more bits than that above the
+    window.  The values nearest lo go first, since they read the bottom of
+    the previous layer, where its sums are densest, so each shift fills
+    more holes.  Windows 0 and 1 take the values smallest first instead:
+    that already reads blocks 0 and 1, and their shifts by values near lo
+    would be longer.  Each remaining hole is then tested against the values
+    not shifted in, in the same order, by probes into the layer's bytes
+    below the window's top, which still hold layer k - 1; the holes they
+    fill are set in the window's own bytes, and only then is the window
+    written over block j.  Window j reads only blocks up to j, so a block
+    is freed once its window is done.  The count is each window's bits
+    after shifting plus the holes the tests fill.
     """
     if (limit + 1 - count) * HOLE_SPARSITY < limit + 1:
-        out = bytearray(previous)
-        return out, count + _fill_holes(out, previous, _holes(previous, limit), values)
+        filled = _fill_holes(layer, _holes(layer, limit), values)
+        for h in filled:
+            layer[h >> 3] |= 1 << (h & 7)
+        return count + len(filled)
     width = LAYER_WINDOW
     cut = (1 << (width + width // 2)) - 1
-    out = bytearray(len(previous))
-    below = _block_ints(previous, limit, width)
+    below = _block_ints(layer, limit, width)
     count = 0  # the new layer's bits, window by window
     for j in reversed(range(len(below))):
         lo = j * width
@@ -318,9 +344,9 @@ def _grow_layer(
                     continue
                 q, r = divmod(s, width)
                 if q != pair_at:
-                    # bit t of the pair is bit q * width + t of previous; a
-                    # shift by r < width / 2 takes it cut to 1.5 widths, so
-                    # that no shift makes more than 1.5 widths of bits
+                    # bit t of the pair is bit q * width + t of layer k - 1;
+                    # a shift by r < width / 2 takes it cut to 1.5 widths,
+                    # so that no shift makes more than 1.5 widths of bits
                     pair_at, pair = q, below[q + 1] << width | below[q]
                     short = pair & cut
                 mask |= (short if 2 * r < width else pair) >> r
@@ -330,27 +356,28 @@ def _grow_layer(
             holes = span - mask.bit_count()
         below[j] = pair = short = None
         count += span - holes
-        window = mask.to_bytes((span + 7) >> 3, "little")
-        out[lo >> 3 : (lo >> 3) + len(window)] = window
+        window = bytearray(mask.to_bytes((span + 7) >> 3, "little"))
         if holes and used < len(order):
             window_holes = [lo + h for h in _holes(window, span - 1)]
-            count += _fill_holes(out, previous, window_holes, order[used:])
-    return out, count
+            filled = _fill_holes(layer, window_holes, order[used:])
+            for h in filled:
+                h -= lo
+                window[h >> 3] |= 1 << (h & 7)
+            count += len(filled)
+        layer[lo >> 3 : (lo >> 3) + len(window)] = window
+    return count
 
 
-def _fill_holes(
-    out: bytearray, previous: bytes, holes: list[int], values: list[int]
-) -> int:
-    """Set in `out` each of the holes h that some v of `values`, taken in
-    their order, reaches with h - v set in `previous`; return how many."""
-    filled = 0
+def _fill_holes(layer: bytearray, holes: list[int], values: list[int]) -> list[int]:
+    """The holes h that some v of `values`, taken in their order, reaches
+    with h - v set in `layer`, ascending; `layer` is read, not written."""
+    filled = []
     for h in holes:
         # the bit probe is inlined: this loop is the phase's whole cost
         for v in values:
             d = h - v
-            if d >= 0 and previous[d >> 3] >> (d & 7) & 1:
-                out[h >> 3] |= 1 << (h & 7)
-                filled += 1
+            if d >= 0 and layer[d >> 3] >> (d & 7) & 1:
+                filled.append(h)
                 break
     return filled
 
@@ -415,15 +442,17 @@ def _strict_search(values: list[int], layers: list[bytes]):
 
 
 def _scan(
-    n: int, max_terms: int, strict_distinct: bool, first: int = 1
-) -> tuple[ScanReport, list[PoolEntry], Iterator[_WitnessBlock]]:
+    n: int, max_terms: int, strict_distinct: bool, first: int | None = 1
+) -> tuple[ScanReport, list[PoolEntry], Iterator[_WitnessBlock] | None]:
     """One scan of [1, n]: check the arguments, then build the pool, the
     layers and the report they give.
 
-    The third item is the walk over [first, n] (_witnesses) on those layers.
-    It runs only as its blocks are read, and it alone holds the layers, so
-    they are freed once it has cut them into its table, or with it if it
-    is dropped unread.
+    The third item is the walk over [first, n] (_witnesses) on those layers,
+    or None if first is None, in which case the build keeps only the last
+    layer (_layer_masks), whose holes are the failures.  The walk runs
+    only as its blocks are read, and it alone holds the layers, so they are
+    freed once it has cut them into its table, or with it if it is dropped
+    unread.
     """
     if n < 1:
         raise ValueError(f"scan bound must be >= 1, got {n}")
@@ -442,14 +471,15 @@ def _scan(
         raise ValueError(
             f"strict layers of {bits} bits exceed the ceiling {STRICT_BITS_CEILING}"
         )
-    layers, counts = _layer_masks(values, n, max_terms, strict_distinct)
-    built = len(layers) - 1
+    walk = first is not None
+    layers, counts = _layer_masks(values, n, max_terms, strict_distinct, walk)
+    built = len(counts) - 1
     # the layers are cumulative, so layer k adds its count less the one below
     histogram = {
         k: counts[k] - counts[k - 1] if k <= built else 0
         for k in range(1, max_terms + 1)
     }
-    failures = tuple(_holes(layers[built], n))
+    failures = tuple(_holes(layers[-1], n))
     report = ScanReport(
         n=n,
         max_terms=max_terms,
@@ -457,6 +487,8 @@ def _scan(
         histogram=histogram,
         failures=failures,
     )
+    if not walk:
+        return report, pool, None
     return report, pool, _witnesses(first, n, layers, values, strict_distinct)
 
 
@@ -464,7 +496,7 @@ def scan_conjecture(
     n: int, max_terms: int = 5, strict_distinct: bool = False
 ) -> ScanReport:
     """Decide for every integer in [1, n] whether it decomposes in budget."""
-    return _scan(n, max_terms, strict_distinct)[0]
+    return _scan(n, max_terms, strict_distinct, None)[0]
 
 
 def scan_with_witnesses(

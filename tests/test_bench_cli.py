@@ -6,6 +6,8 @@ are fresh interpreters, as in a real comparison.
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,37 @@ def test_differing_stdout_exits_1(tmp_path, capsys):
     argv = ["--base", str(REPO), "--change", str(tmp_path / "stub"), "--runs", "3"]
     assert bench_cli.main([*argv, "--out", str(out), "pollock 30"]) == 1
     assert "stdout differs between the trees: pollock 30" in capsys.readouterr().err
+
+
+def test_each_tree_runs_from_its_own_compiled_prefix(tmp_path, monkeypatch):
+    # with bytecode writes off, a child would compile every module it
+    # imports; an untimed run per tree first fills the tree's own prefix
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    shutil.copytree(REPO / "src", tmp_path / "copy" / "src")
+    calls = []
+    call = subprocess.call
+
+    def record(argv, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        # the prefix mirrors each source's absolute directory
+        compiled = {Path("/", p.relative_to(prefix)) for p in prefix.rglob("*.pyc")}
+        writes = "PYTHONDONTWRITEBYTECODE" not in env
+        calls.append((env["PYTHONPATH"], prefix, writes, compiled))
+        return call(argv, env=env, **kwargs)
+
+    monkeypatch.setattr(bench_cli.subprocess, "call", record)
+    out = tmp_path / "bench.json"
+    argv = ["--base", str(REPO), "--change", str(tmp_path / "copy"), "--runs", "3"]
+    assert bench_cli.main([*argv, "--out", str(out), "pollock 30"]) == 0
+    # one untimed run per tree, then three timed ones each
+    assert [writes for _, _, writes, _ in calls] == [True] * 2 + [False] * 6
+    prefixes = {path: prefix for path, prefix, _, _ in calls[:2]}
+    assert len(set(prefixes.values())) == 2
+    for path, prefix, _, compiled in calls[2:]:
+        assert prefix == prefixes[path]
+        # the tree's own package and the standard library are compiled
+        package = {p.parent for p in compiled if p.name.startswith("pollock.")}
+        assert package == {Path(path, "platonics")}
+        assert any(p.parent.name == "json" for p in compiled)
+    # the prefixes are temporary
+    assert not any(prefix.exists() for _, prefix, _, _ in calls)

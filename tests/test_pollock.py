@@ -242,11 +242,16 @@ def shift_or_masks(values, limit, max_terms, strict_distinct):
 
 def layer_ints(values, limit, max_terms, strict_distinct):
     """_layer_masks's layers as ints, once each is checked to be limit // 8 + 1
-    bytes and its returned count to be its own bit count."""
+    bytes and its returned count to be its own bit count, and the build
+    for no walk to return the same counts and the last layer alone."""
     layers, counts = pollock._layer_masks(values, limit, max_terms, strict_distinct)
     assert all(len(layer) == limit // 8 + 1 for layer in layers)
     masks = [int.from_bytes(layer, "little") for layer in layers]
     assert counts == [mask.bit_count() for mask in masks]
+    last, last_counts = pollock._layer_masks(
+        values, limit, max_terms, strict_distinct, False
+    )
+    assert last == [layers[-1]] and last_counts == counts
     return masks
 
 
@@ -326,6 +331,13 @@ def ascending_pools(draw):
 @example(
     pool=([2, 3, 7], 1000), max_terms=6, window=1024, sparsity=pollock.HOLE_SPARSITY
 )
+# layer 5 adds nothing, so it is dropped, and the layer below it is the
+# last one
+@example(pool=([5], 20), max_terms=6, window=8, sparsity=pollock.HOLE_SPARSITY)
+# layer 2 adds nothing: no pair sum is in range
+@example(pool=([15], 20), max_terms=4, window=8, sparsity=pollock.HOLE_SPARSITY)
+# one term: layer 1 is the last, and no layer is grown
+@example(pool=([1, 3], 10), max_terms=1, window=8, sparsity=pollock.HOLE_SPARSITY)
 def test_layer_masks_match_shift_or_on_random_pools(
     pool, max_terms, window, sparsity
 ):
@@ -500,8 +512,8 @@ def test_strict_depths_stop_at_the_deepest_layer():
 
 
 def test_dense_layer_temporaries_stay_window_sized(monkeypatch):
-    # a dense layer holds only its output buffer and the previous layer's
-    # block ints at full size
+    # a dense layer is grown in place, so it holds only the previous
+    # layer's block ints at full size
     monkeypatch.setattr(pollock, "LAYER_WINDOW", 1 << 14, raising=False)
     n = 10**6
     values = [entry.value for entry in platonic_pool(n)]
@@ -513,7 +525,23 @@ def test_dense_layer_temporaries_stay_window_sized(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * layer, peak / layer
+    assert peak <= 1.5 * layer, peak / layer
+
+
+def test_report_only_scan_holds_one_layer():
+    # with no walk to read them, the layers are grown in one buffer and no
+    # layer below the last is kept: the scan holds that buffer, the block
+    # ints of the layer it grows, and temporaries
+    n = 3 * 10**6
+    layer = sys.getsizeof((1 << (n + 1)) - 1)
+    tracemalloc.start()
+    try:
+        report = scan_conjecture(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.failures == ()
+    assert peak <= 5 * layer, peak / layer
 
 
 def holes_by_bit(layer, limit):

@@ -6,7 +6,14 @@
 Each command line runs `platonics ARGS` as `python -m platonics` would, with
 PYTHONPATH set to the tree's `src`, once per tree per round.  The rounds
 alternate which tree goes first, so drift in the host's speed falls on both
-sides alike.  Per command and tree the output records the wall clock, the
+sides alike.  Each tree has its own temporary PYTHONPYCACHEPREFIX, which
+every child of that tree is given.  Before the timed rounds, each command
+runs once per tree, untimed and with bytecode writes on, so that the bytecode
+of every module it imports, the standard library's too, is in the tree's
+prefix: no timed child compiles a module, also where PYTHONDONTWRITEBYTECODE
+is set, so its peak follows the program and not the compiler's heap.
+
+Per command and tree the output records the wall clock, the
 peak resident set size, the minor page faults and the user and system CPU
 seconds of every run, their median and quartiles, the exit codes, and the
 sha256 of stdout; both must agree between the trees for a refactor that keeps
@@ -67,10 +74,17 @@ runpy.run_module("platonics", run_name="__main__", alter_sys=True)
 """
 
 
-def run_once(tree: Path, args: list[str]) -> tuple:
+def run_once(
+    tree: Path, prefix: Path, args: list[str], compile: bool = False
+) -> tuple:
     """Wall seconds, VmHWM in MB, minor faults, user and system seconds,
-    exit code and stdout sha256 of one run."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    exit code and stdout sha256 of one run, which reads bytecode from
+    `prefix` and, with `compile`, writes there what it lacks."""
+    env = dict(
+        os.environ, PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=str(prefix)
+    )
+    if compile:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
     with tempfile.TemporaryFile() as out, tempfile.TemporaryDirectory() as tmp:
         peak = Path(tmp) / "vmhwm"
         started = time.perf_counter()
@@ -101,13 +115,17 @@ def summary(samples: list[float]) -> dict:
     }
 
 
-def bench(trees: dict[str, Path], command: str, runs: int) -> dict:
+def bench(
+    trees: dict[str, Path], prefixes: dict[str, Path], command: str, runs: int
+) -> dict:
     args = command.split()
+    for name, tree in trees.items():
+        run_once(tree, prefixes[name], args, compile=True)
     taken: dict[str, list[tuple]] = {name: [] for name in trees}
     names = list(trees)
     for round_ in range(runs):
         for name in names if round_ % 2 == 0 else names[::-1]:
-            taken[name].append(run_once(trees[name], args))
+            taken[name].append(run_once(trees[name], prefixes[name], args))
             wall, hwm, minflt, user_s, sys_s, code, _ = taken[name][-1]
             print(
                 f"{command} [{name}] {wall:.3f} s {hwm:.1f} MB {minflt} faults"
@@ -141,6 +159,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--runs must be at least 3")
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     document = json.loads(args.out.read_text()) if args.out.exists() else {}
+    with tempfile.TemporaryDirectory() as cache:
+        prefixes = {name: Path(cache) / name for name in trees}
+        commands = [
+            bench(trees, prefixes, command, args.runs) for command in args.commands
+        ]
     document.update(
         schema=SCHEMA,
         host={
@@ -149,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
         },
         runs=args.runs,
-        commands=[bench(trees, command, args.runs) for command in args.commands],
+        commands=commands,
     )
     args.out.write_text(json.dumps(document, indent=1) + "\n")
     differs = False
