@@ -31,7 +31,7 @@ from operator import mod
 
 from .identities import IdentityCheck, _identity_checks
 from .periodicity import PeriodReport, check_period_range
-from .pollock import ScanReport, _gather, _scan, _WitnessBlock
+from .pollock import ScanReport, _gather, _scan, _WitnessBlock, _witnesses
 from .representations import (
     REPRESENT_MAX_DIGITS,
     NotDivisibleError,
@@ -346,9 +346,9 @@ def _report_text(report: ScanReport) -> str:
 def _cmd_pollock(args: argparse.Namespace) -> int:
     if args.witnesses and args.format == "csv":
         raise ValueError("witness streaming needs table or json format")
-    # a report alone reads only the last layer, so no walk is built
-    first = 1 if args.witnesses else None
-    report, pool, blocks = _scan(args.n, args.max_terms, args.strict_distinct, first)
+    # a report alone reads only the last layer, so only that one is kept
+    n, strict = args.n, args.strict_distinct
+    report, _, values, layers = _scan(n, args.max_terms, strict, args.witnesses)
     if args.format == "json":
         pieces = [json.dumps(report.to_json_dict()) + "\n"]
     elif args.format == "table":
@@ -358,7 +358,7 @@ def _cmd_pollock(args: argparse.Namespace) -> int:
     if args.witnesses:
         # Witness lines are written a block at a time as they are recovered,
         # the report last.
-        values = [entry.value for entry in pool]
+        blocks = _witnesses(1, n, layers, values, strict)
         pieces = chain(_witness_text(args.format, blocks, values), pieces)
     _write(args, pieces)
     return EXIT_COUNTEREXAMPLE if report.failures else EXIT_OK

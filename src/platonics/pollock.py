@@ -29,21 +29,23 @@ that is not full at a time.  Every layer is bit-identical to the plain
 shift-or over the whole pool.
 
 A witness is recovered by walking back through the layers, taking the
-largest pool value that leaves a remainder in the layer below.  One walk,
-_witnesses, serves both modes, the scans' streams and min_term_decomposition
-alike; it yields blocks of targets with their depths, one byte each, and
-their terms as pool indices, which the CLI renders a block at a time and
-the library unpacks into Witness objects.  Every step is one lookup in a
-single first-term table over [0, limit], filled by bulk passes per layer
-and pool value over blocks of targets, and a block is walked in rounds,
-each one lookup for all its targets at once, until every remainder is 0.
-The fill also makes the depths, as bitplanes of the targets each layer
-adds, one set per block of the table.  A walk block ends where its table
-block does, so the walk spreads one window of that block's planes into
-byte lanes, as the fill spreads the table's pool indices.  With distinct
-values a block whose terms all strictly descend is done; any other block
-is rebuilt by a depth-first search per target, at its depth, that the
-layers prune.
+largest pool value that leaves a remainder in the layer below.  The scan
+only builds; each caller reads what it needs.  A stream, the scans' or the
+CLI's, is one walk, _witnesses, in both modes; it yields blocks of targets
+with their depths, one byte each, and their terms as pool indices, which
+the CLI renders a block at a time and the library unpacks into Witness
+objects.  Every step is one lookup in a single first-term table over
+[0, limit], filled by bulk passes per layer and pool value over blocks of
+targets, and a block is walked in rounds, each one lookup for all its
+targets at once, until every remainder is 0.  The fill also makes the
+depths, as bitplanes of the targets each layer adds, one set per block of
+the table.  A walk block ends where its table block does, so the walk
+spreads one window of that block's planes into byte lanes, as the fill
+spreads the table's pool indices.  One target, for min_term_decomposition,
+is a depth-first search (_search) that the layers prune, which takes the
+walk's choice at every step and needs no table.  With distinct values a
+walk block whose terms all strictly descend is done; any other block is
+rebuilt by that search, per target, at its depth.
 """
 
 from __future__ import annotations
@@ -410,16 +412,31 @@ def _holes(layer: bytes, limit: int) -> list[int]:
     return found
 
 
-def _strict_search(values: list[int], layers: list[bytes]):
-    """search(target, need, start): the first decomposition of target into
-    `need` distinct values of values[::-1][start:], in descending order, or
-    None.  `values` is ascending.
+def _search(values: list[int], layers: list[bytes], distinct: bool):
+    """recover(target, depth): the first decomposition of target into
+    `depth` values, largest first, as 1 + the pool index of each term, which
+    are the walk's column entries.  `values` is the ascending pool and
+    `layers` the layers over it (_layer_masks); with `distinct`, no value is
+    taken twice.
 
-    Each level starts at the largest value not above what remains.  A value
-    v is tried only if target - v is set in layers[need - 1], the sums
-    of at most need - 1 distinct values, so no branch is entered that cannot
-    complete.  Layer 0 holds only the empty sum, so the last value taken is
-    what remains.
+    Each level tries the values from the largest not above what remains
+    down; with distinct values a level starts below the value the level
+    above took, with repeats at it.  A value v is tried only if what
+    remains less v is set in the layer of one term fewer, so the layers
+    prune every branch that they show cannot complete.  Layer 0 holds only
+    the empty sum, so the last value taken is what remains.  recover raises where the layers
+    claim a depth that no decomposition has.
+
+    With repeats nothing is ever undone, and the answer is the walk's
+    (_witnesses).  A target m of depth d and any v with m - v in layer
+    d - 1 leave m - v of depth exactly d - 1: at most d - 1 by its layer,
+    and at least that, since v and a shorter sum would give m fewer than d
+    terms.  So the first v tried is the first-term table's F[m], and every
+    branch entered completes.  The next level's first hit w, the largest
+    value with m - v - w in layer d - 2, is at most v: for a larger w,
+    m - w = (m - v - w) + v would be in layer d - 1, and w, not v, would
+    have been the first choice for m.  So starting that level at v loses
+    no value, and its hit is F[m - v], as in the walk.
     """
     total = len(values)
     values_desc = values[::-1]
@@ -432,27 +449,31 @@ def _strict_search(values: list[int], layers: list[bytes]):
             if not below[d >> 3] >> (d & 7) & 1:
                 continue
             if need == 1:
-                return [values_desc[idx]]
-            rest = search(d, need - 1, idx + 1)
+                return [total - idx]
+            rest = search(d, need - 1, idx + distinct)
             if rest is not None:
-                return [values_desc[idx], *rest]
+                return [total - idx, *rest]
         return None
 
-    return search
+    def recover(target: int, depth: int) -> list[int]:
+        terms = search(target, depth, 0)
+        if terms is None:
+            raise RuntimeError(f"no {depth} terms sum to {target}; masks corrupt")
+        return terms
+
+    return recover
 
 
 def _scan(
-    n: int, max_terms: int, strict_distinct: bool, first: int | None = 1
-) -> tuple[ScanReport, list[PoolEntry], Iterator[_WitnessBlock] | None]:
+    n: int, max_terms: int, strict_distinct: bool, walk: bool = True
+) -> tuple[ScanReport, list[PoolEntry], list[int], list[bytes]]:
     """One scan of [1, n]: check the arguments, then build the pool, the
     layers and the report they give.
 
-    The third item is the walk over [first, n] (_witnesses) on those layers,
-    or None if first is None, in which case the build keeps only the last
-    layer (_layer_masks), whose holes are the failures.  The walk runs
-    only as its blocks are read, and it alone holds the layers, so they are
-    freed once it has cut them into its table, or with it if it is dropped
-    unread.
+    Returns the report, the pool, its values and the layers (_layer_masks):
+    every layer if `walk`, for a caller that reads witnesses from them, and
+    otherwise only the last, whose holes are the failures.  A stream walks
+    the layers (_witnesses), and one target is searched in them (_search).
     """
     if n < 1:
         raise ValueError(f"scan bound must be >= 1, got {n}")
@@ -471,7 +492,6 @@ def _scan(
         raise ValueError(
             f"strict layers of {bits} bits exceed the ceiling {STRICT_BITS_CEILING}"
         )
-    walk = first is not None
     layers, counts = _layer_masks(values, n, max_terms, strict_distinct, walk)
     built = len(counts) - 1
     # the layers are cumulative, so layer k adds its count less the one below
@@ -487,24 +507,26 @@ def _scan(
         histogram=histogram,
         failures=failures,
     )
-    if not walk:
-        return report, pool, None
-    return report, pool, _witnesses(first, n, layers, values, strict_distinct)
+    return report, pool, values, layers
 
 
 def scan_conjecture(
     n: int, max_terms: int = 5, strict_distinct: bool = False
 ) -> ScanReport:
     """Decide for every integer in [1, n] whether it decomposes in budget."""
-    return _scan(n, max_terms, strict_distinct, None)[0]
+    return _scan(n, max_terms, strict_distinct, False)[0]
 
 
 def scan_with_witnesses(
     n: int, max_terms: int = 5, strict_distinct: bool = False
 ) -> tuple[ScanReport, Iterator[Witness]]:
     """One scan of [1, n]: its report, and a lazy stream of a minimal
-    witness for every representable m, recovered from the same layers."""
-    report, pool, blocks = _scan(n, max_terms, strict_distinct)
+    witness for every representable m, recovered from the same layers.
+
+    The stream alone holds the layers, so they are freed once its walk has
+    cut them into its table, or with it if it is dropped unread."""
+    report, pool, values, layers = _scan(n, max_terms, strict_distinct)
+    blocks = _witnesses(1, n, layers, values, strict_distinct)
     return report, _with_provenance(blocks, pool)
 
 
@@ -516,9 +538,18 @@ def min_term_decomposition(
     The pool is every platonic value up to m.  None means no decomposition
     exists within the budget, which is a result, not an error.  m is held
     to the scans' ceilings, since its layers are (m + 1) bits like a scan's.
+
+    m's depth is the first layer that holds it, and its terms are the
+    search's (_search) at that depth: the same witness as the stream's row
+    for m, in both modes, with no first-term table.
     """
-    _, pool, blocks = _scan(m, max_terms, strict_distinct, first=m)
-    return next(_with_provenance(blocks, pool), None)
+    report, pool, values, layers = _scan(m, max_terms, strict_distinct)
+    # the failures ascend, and none is above m
+    if report.failures[-1:] == (m,):
+        return None
+    depth = next(k for k, layer in enumerate(layers) if layer[m >> 3] >> (m & 7) & 1)
+    terms = _search(values, layers, strict_distinct)(m, depth)
+    return Witness(m, tuple([pool[i - 1] for i in terms]))
 
 
 def _with_provenance(
@@ -724,16 +755,15 @@ def _witnesses(
     With distinct values a largest-first choice can strand the rest, so
     each walked block is checked in bulk: in neighbouring columns the later
     index is below the earlier one wherever the earlier is nonzero.  A row
-    that passes is the depth-first _strict_search's first answer: each step
-    lowers the depth, so it has at most depth(m) terms, and as a distinct
-    sum at least that many, so every step took the search's first
-    candidate.  A block with a failing row is rebuilt by the search, target
-    by target at its depth, which reads the layers' bytes for the whole
-    stream.
+    that passes is the depth-first search's first answer (_search, with
+    distinct values): each step lowers the depth, so it has at most depth(m)
+    terms, and as a distinct sum at least that many, so every step took the
+    search's first candidate.  A block with a failing row is rebuilt by that
+    search, target by target at its depth, which reads the layers' bytes
+    for the whole stream.  With repeats the walk and the search give the
+    same rows too (_search); a single target is searched, not walked.
     """
     built = len(layers) - 1
-    if strict_distinct:
-        search = _strict_search(values, layers)
     # the strict fallback reads the layers' bytes for the whole stream, so
     # _first_terms empties a copy of the list
     first, planes = _first_terms(
@@ -790,11 +820,6 @@ def _witnesses(
             sum(map(ge, later, earlier)) == earlier.count(0)
             for earlier, later in zip(columns, columns[1:])
         ):
-            rows = []
-            for m, depth in zip(targets, depths):
-                terms = search(m, depth, 0)
-                if terms is None:
-                    raise RuntimeError(f"strict recovery failed for {m}; masks corrupt")
-                rows.append([bisect_right(values, v) for v in terms])
+            rows = map(_search(values, layers, True), targets, depths)
             columns = list(zip_longest(*rows, fillvalue=0))
         yield targets, depths, columns

@@ -544,6 +544,46 @@ def test_report_only_scan_holds_one_layer():
     assert peak <= 5 * layer, peak / layer
 
 
+@pytest.mark.parametrize(
+    "m, strict, bound",
+    [
+        # the layers a walk reads, kept as bytes (about 6 at the fixpoint),
+        # and the block ints of the layer being grown; a first-term table
+        # alone would be 16 layer sizes
+        (3 * 10**6 - 1, False, 10),
+        # the six strict layers as ints while they are built, then as bytes
+        (10**6 - 1, True, 15),
+    ],
+)
+def test_one_target_holds_the_layers_alone(m, strict, bound):
+    # one target is searched in the layers, so the call holds no first-term
+    # table and no depth planes
+    layer = sys.getsizeof((1 << (m + 1)) - 1)
+    tracemalloc.start()
+    try:
+        witness = min_term_decomposition(m, strict_distinct=strict)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verify_witness(witness)
+    assert peak <= bound * layer, peak / layer
+
+
+def test_one_target_needs_no_first_term_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a single target filled the first-term table")
+
+    monkeypatch.setattr(pollock, "_first_terms", no_table)
+    # 26015 is the smallest integer that needs four terms
+    for strict in (False, True):
+        witness = min_term_decomposition(104, strict_distinct=strict)
+        assert witness.term_values == (85, 19)
+        witness = min_term_decomposition(26015, strict_distinct=strict)
+        assert len(witness.terms) == 4 and verify_witness(witness)
+        assert min_term_decomposition(17, 2, strict_distinct=strict) is None
+    assert min_term_decomposition(2, strict_distinct=True) is None
+
+
 def holes_by_bit(layer, limit):
     """The plain definition: test every bit up to the limit."""
     return [h for h in range(limit + 1) if not layer[h >> 3] >> (h & 7) & 1]
@@ -638,6 +678,19 @@ def test_strict_recovery_never_reuses_a_value():
         assert tuple(values[i - 1] for i in next(zip(*columns)) if i) == terms
 
 
+def test_strict_single_target_never_reuses_a_value(monkeypatch):
+    # the same made-up values as the scan's pool: one target is searched,
+    # not walked, and in strict mode the search must step back from 4 + 4
+    pool = [PoolEntry(v, ((PlatonicKind.CUBE, v),)) for v in (1, 2, 3, 4)]
+    monkeypatch.setattr(
+        pollock, "platonic_pool", lambda limit: [e for e in pool if e.value <= limit]
+    )
+    for m, terms in ((9, (4, 3, 2)), (10, (4, 3, 2, 1))):
+        assert min_term_decomposition(m, strict_distinct=True).term_values == terms
+    assert min_term_decomposition(9).term_values == (4, 4, 1)
+    assert min_term_decomposition(10).term_values == (4, 4, 2)
+
+
 class ForwardOnly(bytes):
     """Layer bytes that refuse a negative index rather than wrap round."""
 
@@ -654,10 +707,10 @@ def test_strict_search_tries_no_value_above_the_remainder():
     # branch.  That branch cannot complete, so only the probe shows the slip
     values = [1, 2, 4, 7]
     layers, _ = pollock._layer_masks(values, 7, 4, True)
-    search = pollock._strict_search(values, [ForwardOnly(layer) for layer in layers])
+    recover = pollock._search(values, [ForwardOnly(layer) for layer in layers], True)
     expected = {1: (1,), 2: (2,), 3: (2, 1), 4: (4,), 5: (4, 1), 6: (4, 2), 7: (7,)}
     for m, terms in expected.items():
-        assert tuple(search(m, len(terms), 0)) == terms
+        assert tuple(values[i - 1] for i in recover(m, len(terms))) == terms
 
 
 def with_bit(layers, bit, layer):
@@ -738,7 +791,7 @@ def test_walk_stops_on_a_corrupt_table(monkeypatch):
         # 11 - 4 = 7 = 4 + 2 + 1 gives the fill a first term, but the walk
         # takes 4 twice and the depth-first rebuild finds no four distinct
         # values of 1..4 that sum to 11
-        (4, "strict recovery failed for 11"),
+        (4, "no 4 terms sum to 11"),
     ],
     ids=["fill", "fallback"],
 )
@@ -765,7 +818,8 @@ def test_strict_never_beats_default(n, max_terms):
     # in strict mode alone.  The depths are the ones the walks yield
     failures, rows = {}, {}
     for strict in (False, True):
-        report, _, blocks = pollock._scan(n, max_terms, strict)
+        report, _, values, layers = pollock._scan(n, max_terms, strict)
+        blocks = pollock._witnesses(1, n, layers, values, strict)
         failures[strict] = set(report.failures)
         rows[strict] = {
             m: (d, [i for i in row if i])

@@ -200,7 +200,7 @@ def test_witnesses_follow_the_largest_first_path(n, max_terms):
         table_lines.append(f"{witness.target} = {terms_text}\n")
     assert targets == [t for t in range(1, n + 1) if DEPTH[t] <= max_terms]
     assert_cli_lines(n, max_terms, json_lines, table_lines)
-    # a single target takes the same walk as the stream
+    # a single target takes the same path as the stream
     for m in {*first_of_depth.values(), *targets[-1:]}:
         assert min_term_decomposition(m, max_terms).term_values == PATHS[m]
 
@@ -274,7 +274,8 @@ def flatten(blocks, block, table_block, values, depth=DEPTH):
 
 def scan_blocks(n, max_terms, strict_distinct):
     """The walk's blocks over [1, n] from one scan, as the CLI gets them."""
-    return pollock._scan(n, max_terms, strict_distinct)[2]
+    _, _, values, layers = pollock._scan(n, max_terms, strict_distinct)
+    return pollock._witnesses(1, n, layers, values, strict_distinct)
 
 
 @pytest.mark.parametrize("table_block", [1, 7, 64, 1000])
@@ -339,19 +340,19 @@ def strict_walk(values, limit, max_terms):
     """[(m, terms)] of the strict walk over [1, limit], and the targets whose
     rows the depth-first fallback rebuilt."""
     rebuilt = []
-    real = pollock._strict_search
+    real = pollock._search
 
     def counting(*args):
-        search = real(*args)
+        recover = real(*args)
 
-        def top(target, need, start):
+        def top(target, depth):
             rebuilt.append(target)
-            return search(target, need, start)
+            return recover(target, depth)
 
         return top
 
     layers, _ = pollock._layer_masks(values, limit, max_terms, True)
-    with mock.patch.object(pollock, "_strict_search", counting):
+    with mock.patch.object(pollock, "_search", counting):
         blocks = pollock._witnesses(1, limit, layers, values, True)
         found = []
         for targets, depths, columns in blocks:
@@ -415,6 +416,74 @@ def test_strict_walk_of_a_small_pool_matches_combinations(
     with mock.patch.object(pollock, "_WALK_BLOCK", block):
         found, _ = strict_walk(values, limit, max_terms)
     assert first_difference(found, expected) is None
+
+
+def walk_rows(n, max_terms, strict_distinct):
+    """{m: (depth, term values)} of the stream over [1, n], as walked."""
+    values = platonic_values_upto(n)
+    return {
+        m: (d, tuple(values[i - 1] for i in row if i))
+        for targets, depths, columns in scan_blocks(n, max_terms, strict_distinct)
+        for m, d, row in zip(targets, depths, zip(*columns))
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=ORACLE_LIMIT),
+    max_terms=st.integers(min_value=1, max_value=8),
+    strict_distinct=st.booleans(),
+)
+# 2 = 1 + 1 fails in strict mode alone, and with one term; 17 needs three
+@example(m=2, max_terms=5, strict_distinct=True)
+@example(m=2, max_terms=1, strict_distinct=False)
+@example(m=17, max_terms=3, strict_distinct=False)
+@example(m=ORACLE_LIMIT, max_terms=8, strict_distinct=True)
+@example(m=ORACLE_LIMIT, max_terms=1, strict_distinct=False)
+def test_one_target_is_its_stream_row(m, max_terms, strict_distinct):
+    # min_term_decomposition searches the layers for m alone, and must give
+    # the row that the walk of [1, m] gives m: the same values in the same
+    # order, so the same depth, and the pool entries of those values
+    witness = min_term_decomposition(m, max_terms, strict_distinct)
+    rows = walk_rows(m, max_terms, strict_distinct)
+    if m not in rows:
+        assert witness is None
+        return
+    depth, terms = rows[m]
+    assert witness.term_values == terms
+    assert len(witness.terms) == depth
+    assert witness == witness_from_values(m, terms, platonic_pool(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=12),
+    limit=st.integers(min_value=1, max_value=60),
+    max_terms=st.integers(min_value=1, max_value=8),
+    distinct=st.booleans(),
+)
+# with repeats, 1 and 5 make chains: 3 = 1 + 1 + 1, 13 = 5 + 5 + 1 + 1 + 1
+@example(pool={1, 5}, limit=60, max_terms=8, distinct=False)
+@example(pool={1, 5}, limit=60, max_terms=8, distinct=True)
+@example(pool={5}, limit=60, max_terms=8, distinct=False)
+@example(pool={1, 2, 3, 4}, limit=10, max_terms=4, distinct=True)
+def test_search_gives_the_walks_rows_on_a_small_pool(pool, limit, max_terms, distinct):
+    # the search at each target's depth gives the walk's row, index for
+    # index: with repeats each level starts at the value the level above
+    # took, and never needs to step back
+    values = sorted(v for v in pool if v <= limit)
+    assume(values)
+    layers, _ = pollock._layer_masks(values, limit, max_terms, distinct)
+    recover = pollock._search(values, layers, distinct)
+    # the default walk empties the list it is given, so it gets a copy
+    for targets, depths, columns in pollock._witnesses(
+        1, limit, layers[:], values, distinct
+    ):
+        for m, d, row in zip(targets, depths, zip(*columns)):
+            assert recover(m, d) == [i for i in row if i], m
+    if values == [1, 5] and not distinct:
+        assert recover(3, 3) == [1, 1, 1]
+        assert recover(13, 5) == [2, 2, 1, 1, 1]
 
 
 def test_scan_million_pinned():
