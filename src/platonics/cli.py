@@ -256,12 +256,27 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
 
 
 def _report_fields(report: ScanReport) -> Iterator[dict]:
+    """The csv records of a report up to its failure count."""
     fields = [("n", report.n), ("max_terms", report.max_terms)]
     fields.append(("strict_distinct", report.strict_distinct))
     fields += [(f"terms_{k}", report.histogram[k]) for k in sorted(report.histogram)]
     fields.append(("failure_count", len(report.failures)))
-    fields += [("failure", m) for m in report.failures]
     return ({"field": field, "value": value} for field, value in fields)
+
+
+def _joined(
+    blocks: Iterable[list[int]], before: str, between: str, after: str
+) -> Iterator[str]:
+    """before + between.join(map(str, items)) + after over the items of
+    every block, as one piece per block that has items; nothing when no
+    block has any."""
+    lead, wrote = before, False
+    for block in blocks:
+        if block:
+            yield lead + between.join(map(str, block))
+            lead, wrote = between, True
+    if wrote:
+        yield after
 
 
 def _witness_text(
@@ -327,7 +342,20 @@ def _witness_text(
         yield "".join(pieces)
 
 
-def _report_text(report: ScanReport) -> str:
+def _report_text(fmt: str, report: ScanReport) -> Iterator[str]:
+    """A report's text in its format, its failures written one block (a
+    window of the last layer) at a time."""
+    blocks = report.failures.blocks()
+    if fmt == "json":
+        # the json.dumps text, its failures list written from the blocks
+        yield json.dumps(report._json_head())[:-1] + ', "failures": ['
+        yield from _joined(blocks, '"', '", "', '"')
+        yield "]}\n"
+        return
+    if fmt == "csv":
+        yield _records_text(fmt, _report_fields(report))
+        yield from _joined(blocks, "failure,", "\nfailure,", "\n")
+        return
     lines = [
         f"n: {report.n}",
         f"max terms: {report.max_terms}",
@@ -335,12 +363,13 @@ def _report_text(report: ScanReport) -> str:
         "histogram:",
     ]
     lines += [f"  {k} terms: {report.histogram[k]}" for k in sorted(report.histogram)]
-    if report.failures:
-        failing = " ".join(str(m) for m in report.failures)
-        lines.append(f"failures ({len(report.failures)}): {failing}")
-    else:
-        lines.append("failures: none")
-    return "\n".join(lines) + "\n"
+    if not report.failures:
+        yield "\n".join(lines) + "\nfailures: none\n"
+        return
+    lines.append(f"failures ({len(report.failures)}): ")
+    yield "\n".join(lines)
+    yield from _joined(blocks, "", " ", "")
+    yield "\n"
 
 
 def _cmd_pollock(args: argparse.Namespace) -> int:
@@ -349,12 +378,7 @@ def _cmd_pollock(args: argparse.Namespace) -> int:
     # a report alone reads only the last layer, so only that one is kept
     n, strict = args.n, args.strict_distinct
     report, _, values, layers = _scan(n, args.max_terms, strict, args.witnesses)
-    if args.format == "json":
-        pieces = [json.dumps(report.to_json_dict()) + "\n"]
-    elif args.format == "table":
-        pieces = [_report_text(report)]
-    else:
-        pieces = [_records_text(args.format, _report_fields(report))]
+    pieces = _report_text(args.format, report)
     if args.witnesses:
         # Witness lines are written a block at a time as they are recovered,
         # the report last.

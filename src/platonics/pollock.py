@@ -14,19 +14,23 @@ layer k - 1, by the method that suits each one's density; a walk needs
 every layer, so for one each is copied to bytes before it is grown, and a
 report alone holds the last.  Layers 1 and 2 are sparse, so their sums are
 enumerated into the bit-packed buffer, the pair sums through per-residue
-tables of byte offsets and bits.  A later layer whose holes (integers not
-yet reached) are dense is built one window of bits at a time, from the top
-down, so that no temporary is the size of a layer: the window shift-ors in
-the previous layer's bits by pool values while its holes are dense, the
-values nearest the window's start first, so that their bits come from the
-dense bottom of the previous layer, then tests each remaining hole against
-the values not yet shifted in.  Those tests read the previous layer below
-the window's top, so the window is written over it only after them.  A
-layer whose holes are already sparse tests them all at once and sets the
-ones reached only after every test.  Layering stops at the fixpoint.  The
-holes of a layer, and so the failures of the last one, are found a byte
-that is not full at a time.  Every layer is bit-identical to the plain
-shift-or over the whole pool.
+tables of byte offsets and bits, and layer 2 is counted a window at a time.
+A later layer whose holes (integers not yet reached) are dense is built one
+window of bits at a time, from the top down, so that no temporary is the
+size of a layer: the window shift-ors in the previous layer's bits by pool
+values while its holes are dense, the values nearest the window's start
+first, so that their bits come from the dense bottom of the previous layer,
+then tests each remaining hole against the values not yet shifted in.
+Those tests read the previous layer below the window's top, so the window
+is written over it only after them; a block of the previous layer becomes
+an int when a window first reads it, and goes when its own window is
+written.  A layer whose holes are already sparse tests them all at once and
+sets the ones reached only after every test.  Layering stops at the
+fixpoint.  The holes of a layer are found one window of its bytes at a
+time, a byte that is not full at a time, and the failures of a report are
+a lazy view of its last layer's holes (Failures).  So a report holds one
+layer and window-sized temporaries.  Every layer is bit-identical to the
+plain shift-or over the whole pool.
 
 A witness is recovered by walking back through the layers, taking the
 largest pool value that leaves a remainder in the layer below.  The scan
@@ -54,8 +58,8 @@ import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress, zip_longest
-from operator import ge, itemgetter, sub
+from itertools import chain, compress, islice, zip_longest
+from operator import eq, ge, itemgetter, sub
 
 from .sequences import PlatonicKind, platonic_value
 
@@ -102,25 +106,84 @@ class Witness:
         }
 
 
+class Failures(Sequence):
+    """The integers in [1, limit] that a scan's last layer does not hold,
+    ascending: a read-only view of that layer, which it keeps alive.
+
+    Its length is limit + 1 less the layer's bit count, with no pass over
+    the layer.  Iteration finds the holes one window of the layer at a time
+    (_holes), as `blocks` yields them, so no more than one window's
+    failures exist as ints at once; indexing and slicing iterate up to the
+    last item asked for.  It equals a tuple or another view with the same
+    items, and hashes as that tuple.
+    """
+
+    def __init__(self, layer: bytes, limit: int, count: int):
+        self._layer, self._limit, self._len = layer, limit, limit + 1 - count
+
+    def __len__(self) -> int:
+        return self._len
+
+    def blocks(self) -> Iterator[list[int]]:
+        """The failures, one ascending list per window of the layer; a
+        window with none gives an empty list."""
+        return _holes(self._layer, self._limit)
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.blocks())
+
+    def __reversed__(self) -> Iterator[int]:
+        return reversed(tuple(self))
+
+    def __getitem__(self, index):
+        picked = range(self._len)[index]
+        if isinstance(picked, int):
+            return next(islice(self, picked, None))
+        if not picked:
+            return ()
+        first = min(picked[0], picked[-1])
+        run = tuple(islice(self, first, max(picked[0], picked[-1]) + 1))
+        return tuple([run[i - first] for i in picked])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Failures, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class ScanReport:
-    """Aggregate outcome of a scan over [1, n]."""
+    """Aggregate outcome of a scan over [1, n].
+
+    A scan's `failures` are a Failures view of its last layer, which equals
+    the tuple of the integers that no decomposition within the budget
+    reaches.
+    """
 
     n: int
     max_terms: int
     strict_distinct: bool
     histogram: dict[int, int]
-    failures: tuple[int, ...]
+    failures: Sequence[int]
 
-    def to_json_dict(self) -> dict:
+    def _json_head(self) -> dict:
+        """Every field of the json form but the failures, in its order."""
         return {
             "n": self.n,
             "max_terms": self.max_terms,
             "strict_distinct": self.strict_distinct,
             "histogram": {str(k): v for k, v in self.histogram.items()},
             "failure_count": len(self.failures),
-            "failures": [str(m) for m in self.failures],
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self._json_head(), "failures": [str(m) for m in self.failures]}
 
 
 def platonic_pool(limit: int) -> list[PoolEntry]:
@@ -201,9 +264,11 @@ def _layer_masks(
     only the last layer is returned, and the counts are the same.  With
     repeats every layer is grown in place in one buffer: layer k - 1 is read
     only while layer k is built over it (_grow_layer), and for a walk it is
-    first copied to bytes.  A last layer that adds nothing equals the one
-    below, since the layers are cumulative, so dropping it drops only its
-    count and, for a walk, the copy below it.
+    first copied to bytes.  Layer 2 is counted one window of LAYER_WINDOW
+    bits at a time, so no temporary of the build is the size of a layer.  A
+    last layer that adds nothing equals the one below, since the layers are
+    cumulative, so dropping it drops only its count and, for a walk, the copy
+    below it.
     """
     size = limit // 8 + 1
     if strict_distinct:
@@ -247,7 +312,15 @@ def _layer_masks(
             for b, m in zip(offsets[r][i:stop], bits[r][i:stop]):
                 buf[q + b] |= m
         del offsets, bits  # so the dense layers are not built beside them
-        counts.append(int.from_bytes(buf, "little").bit_count())
+        # counted a window at a time, so that no int of the whole layer exists
+        step = LAYER_WINDOW // 8
+        with memoryview(buf) as view:
+            counts.append(
+                sum(
+                    int.from_bytes(view[a : a + step], "little").bit_count()
+                    for a in range(0, size, step)
+                )
+            )
     # with repeats, a layer that adds nothing is a fixpoint, and so is a
     # full one
     while len(counts) <= max_terms and counts[-2] < counts[-1] <= limit:
@@ -291,13 +364,18 @@ def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> 
     and return the new bit count.
 
     A layer whose holes (integers not yet reached) are sparse over the whole
-    range finds them once (_holes) and tests each against the values
-    (_fill_holes), which reads layer k - 1 and writes nothing; the holes it
-    fills are set afterwards.
+    range finds them a window at a time (_holes) and tests each against the
+    values (_fill_holes), which reads layer k - 1 and writes nothing; the
+    holes it fills are set afterwards.
 
     A denser layer is built one window of LAYER_WINDOW bits at a time, from
-    the top down, out of layer k - 1 cut into block ints of that width.
-    Window j, whose first bit is lo, starts from block j.  While its holes
+    the top down, out of layer k - 1 cut into blocks of that width.  Block q
+    becomes an int (below[q]) the first time a window reads it, from the
+    layer's bytes through a memoryview slice, and is cached.  Window j reads
+    only blocks up to j, and only window j writes over block j, so every
+    block below a window's top still holds layer k - 1 and a cached block
+    stays exact until its own window is written; it is freed then.  Window
+    j, whose first bit is lo, starts from block j.  While its holes
     are dense it ORs in, value by value, the window of layer k - 1 at
     offset s = lo - v: a value v <= lo as one right shift of a pair int
     that joins blocks s // width and s // width + 1, a larger v as block 0
@@ -311,18 +389,36 @@ def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> 
     not shifted in, in the same order, by probes into the layer's bytes
     below the window's top, which still hold layer k - 1; the holes they
     fill are set in the window's own bytes, and only then is the window
-    written over block j.  Window j reads only blocks up to j, so a block
-    is freed once its window is done.  The count is each window's bits
-    after shifting plus the holes the tests fill.
+    written over block j.  The count is each window's bits after shifting
+    plus the holes the tests fill.
     """
     if (limit + 1 - count) * HOLE_SPARSITY < limit + 1:
-        filled = _fill_holes(layer, _holes(layer, limit), values)
+        holes = chain.from_iterable(_holes(layer, limit))
+        filled = _fill_holes(layer, holes, values)
         for h in filled:
             layer[h >> 3] |= 1 << (h & 7)
         return count + len(filled)
     width = LAYER_WINDOW
+    step = width // 8
     cut = (1 << (width + width // 2)) - 1
-    below = _block_ints(layer, limit, width)
+    # below[q] is block q of layer k - 1 as an int, once a window has read it
+    below: list[int | None] = [None] * -(-(limit + 1) // width)
+    view = memoryview(layer)
+
+    def block(q: int) -> int:
+        # block q's bytes still hold layer k - 1: only window q writes them
+        if below[q] is None:
+            below[q] = int.from_bytes(view[q * step : (q + 1) * step], "little")
+        return below[q]
+
+    # glibc trims the top of its heap once more than twice the largest
+    # mmapped block yet freed lies free there, and the windows' temporaries,
+    # up to two widths each, come and go at that top: with no freed block
+    # wider than them, every few shifts gave their pages back and faulted
+    # them in again (178k minor faults and 0.27 s of system time in
+    # `pollock 100000000`).  A freed block of 8 widths' bytes, which calloc
+    # never touches, lifts the threshold above them (11k faults, 0.03 s)
+    bytes(width)
     count = 0  # the new layer's bits, window by window
     for j in reversed(range(len(below))):
         lo = j * width
@@ -333,7 +429,7 @@ def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> 
         order = values[: bisect_right(values, hi - 1)]
         if j > 1:
             order.sort(key=lambda v: abs(v - lo))
-        mask = below[j]
+        mask = block(j)
         holes = span - mask.bit_count()
         used = 0
         chunk = 1
@@ -342,14 +438,14 @@ def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> 
             for v in order[used : used + chunk]:
                 s = lo - v
                 if s < 0:
-                    mask |= below[0] << -s
+                    mask |= block(0) << -s
                     continue
                 q, r = divmod(s, width)
                 if q != pair_at:
                     # bit t of the pair is bit q * width + t of layer k - 1;
                     # a shift by r < width / 2 takes it cut to 1.5 widths,
                     # so that no shift makes more than 1.5 widths of bits
-                    pair_at, pair = q, below[q + 1] << width | below[q]
+                    pair_at, pair = q, block(q + 1) << width | block(q)
                     short = pair & cut
                 mask |= (short if 2 * r < width else pair) >> r
             mask &= low
@@ -360,8 +456,8 @@ def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> 
         count += span - holes
         window = bytearray(mask.to_bytes((span + 7) >> 3, "little"))
         if holes and used < len(order):
-            window_holes = [lo + h for h in _holes(window, span - 1)]
-            filled = _fill_holes(layer, window_holes, order[used:])
+            [found] = _holes(window, span - 1)
+            filled = _fill_holes(layer, [lo + h for h in found], order[used:])
             for h in filled:
                 h -= lo
                 window[h >> 3] |= 1 << (h & 7)
@@ -370,7 +466,9 @@ def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> 
     return count
 
 
-def _fill_holes(layer: bytearray, holes: list[int], values: list[int]) -> list[int]:
+def _fill_holes(
+    layer: bytearray, holes: Iterable[int], values: list[int]
+) -> list[int]:
     """The holes h that some v of `values`, taken in their order, reaches
     with h - v set in `layer`, ascending; `layer` is read, not written."""
     filled = []
@@ -393,23 +491,26 @@ _BYTE_HOLES = tuple(
 _HOLE_FLAG = bytes([1] * 255 + [0])
 
 
-def _holes(layer: bytes, limit: int) -> list[int]:
+def _holes(layer: bytes, limit: int) -> Iterator[list[int]]:
     """The integers in [0, limit] that a layer's little-endian bytes do not
-    hold, ascending.
+    hold, ascending, as one list per window of LAYER_WINDOW bits.
 
-    The bytes are mapped to 0/1 flags, and bytes.find (memchr) steps from
-    one flagged byte to the next, so a run of 0xFF bytes costs no Python
-    step.  The last byte's clear bits past the limit are not holes.
+    Each window's bytes are mapped to 0/1 flags, and bytes.find (memchr)
+    steps from one flagged byte to the next, so a run of 0xFF bytes costs no
+    Python step; the window's offset is added to each hole.  The last
+    byte's clear bits past the limit are not holes.
     """
-    flags = layer.translate(_HOLE_FLAG)
-    found = []
-    i = flags.find(1)
-    while i >= 0:
-        base = i << 3
-        found.extend(base + b for b in _BYTE_HOLES[layer[i]])
-        i = flags.find(1, i + 1)
-    del found[bisect_right(found, limit) :]
-    return found
+    step = LAYER_WINDOW // 8
+    for a in range(0, (limit >> 3) + 1, step):
+        flags = layer[a : a + step].translate(_HOLE_FLAG)
+        found = []
+        i = flags.find(1)
+        while i >= 0:
+            base = (a + i) << 3
+            found.extend(base + b for b in _BYTE_HOLES[layer[a + i]])
+            i = flags.find(1, i + 1)
+        del found[bisect_right(found, limit) :]
+        yield found
 
 
 def _search(values: list[int], layers: list[bytes], distinct: bool):
@@ -499,13 +600,12 @@ def _scan(
         k: counts[k] - counts[k - 1] if k <= built else 0
         for k in range(1, max_terms + 1)
     }
-    failures = tuple(_holes(layers[-1], n))
     report = ScanReport(
         n=n,
         max_terms=max_terms,
         strict_distinct=strict_distinct,
         histogram=histogram,
-        failures=failures,
+        failures=Failures(layers[-1], n, counts[-1]),
     )
     return report, pool, values, layers
 
@@ -543,11 +643,11 @@ def min_term_decomposition(
     search's (_search) at that depth: the same witness as the stream's row
     for m, in both modes, with no first-term table.
     """
-    report, pool, values, layers = _scan(m, max_terms, strict_distinct)
-    # the failures ascend, and none is above m
-    if report.failures[-1:] == (m,):
+    _, pool, values, layers = _scan(m, max_terms, strict_distinct)
+    held = (k for k, layer in enumerate(layers) if layer[m >> 3] >> (m & 7) & 1)
+    depth = next(held, None)
+    if depth is None:
         return None
-    depth = next(k for k, layer in enumerate(layers) if layer[m >> 3] >> (m & 7) & 1)
     terms = _search(values, layers, strict_distinct)(m, depth)
     return Witness(m, tuple([pool[i - 1] for i in terms]))
 

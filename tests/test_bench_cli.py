@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from platonics import cli
+
 REPO = Path(__file__).resolve().parents[1]
 
 spec = importlib.util.spec_from_file_location(
@@ -90,3 +92,19 @@ def test_each_tree_runs_from_its_own_compiled_prefix(tmp_path, monkeypatch):
         assert any(p.parent.name == "json" for p in compiled)
     # the prefixes are temporary
     assert not any(prefix.exists() for _, prefix, _, _ in calls)
+
+
+def test_named_sets_parse_as_platonics_command_lines():
+    # each line of a named set is a platonics command that the parser takes
+    parsed = {
+        name: [cli._build_parser().parse_args(line.split()) for line in lines]
+        for name, lines in bench_cli.SETS.items()
+    }
+    report = parsed["report-ceilings"]
+    assert report and all(a.command == "pollock" and not a.witnesses for a in report)
+
+
+def test_a_set_or_a_command_line_is_required(tmp_path):
+    argv = ["--base", str(REPO), "--change", str(REPO), "--out", str(tmp_path / "b")]
+    with pytest.raises(SystemExit):
+        bench_cli.main(argv)

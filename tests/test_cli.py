@@ -349,6 +349,62 @@ def test_pollock_budget_one_exit_5(capsys):
     assert "failure,2" in lines
 
 
+def whole_report_text(fmt, report):
+    """A report rendered from its failures all at once, as one string."""
+    if fmt == "json":
+        return json.dumps(report.to_json_dict()) + "\n"
+    failures = tuple(report.failures)
+    if fmt == "csv":
+        rows = list(cli._report_fields(report))
+        rows += [{"field": "failure", "value": m} for m in failures]
+        return cli._records_text("csv", rows)
+    text = "".join(cli._report_text("table", report))
+    if failures:
+        head = text[: text.index("failures (")]
+        return head + f"failures ({len(failures)}): " + " ".join(map(str, failures)) + "\n"
+    return text
+
+
+@pytest.mark.parametrize("window", [8, 64, 1 << 14])
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize(
+    "args", [["300", "--max-terms", "1"], ["100000", "--max-terms", "3"], ["120"]]
+)
+def test_pollock_report_written_in_blocks_equals_the_whole_text(
+    args, fmt, window, capsys, monkeypatch
+):
+    # the failures are written one window of the last layer at a time; the
+    # text is the one rendered from all of them at once, with no separator
+    # lost or doubled where a window with no failures lies between others
+    monkeypatch.setattr(pollock, "LAYER_WINDOW", window)
+    code, out, _ = run_cli(["pollock", *args, "--format", fmt], capsys)
+    n, max_terms = int(args[0]), int(args[-1]) if len(args) > 1 else 5
+    report = pollock.scan_conjecture(n, max_terms)
+    assert out == whole_report_text(fmt, report)
+    assert code == (5 if report.failures else 0)
+    if max_terms == 3:
+        # 26015, 63117 and 75977 lie in windows apart
+        blocks = list(report.failures.blocks())
+        assert [] in blocks[1:-1] and sum(map(bool, blocks)) == 3
+
+
+def test_pollock_report_failures_stay_window_sized(monkeypatch):
+    # with one term most integers fail; they are rendered one window of the
+    # last layer at a time, so a window's failures as ints and text are the
+    # peak, not all of them (829 layer sizes before, 110 MB)
+    monkeypatch.setattr(pollock, "LAYER_WINDOW", 1 << 14)
+    n = 10**6
+    layer = sys.getsizeof((1 << (n + 1)) - 1)
+    tracemalloc.start()
+    try:
+        code = cli.main(["pollock", str(n), "--max-terms", "1", "--out", os.devnull])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 5
+    assert peak <= 20 * layer, peak / layer
+
+
 def test_pollock_strict_distinct_exit_5(capsys):
     code, out, _ = run_cli(["pollock", "10", "--strict-distinct", "--format", "json"], capsys)
     assert code == 5

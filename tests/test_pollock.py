@@ -243,7 +243,9 @@ def shift_or_masks(values, limit, max_terms, strict_distinct):
 def layer_ints(values, limit, max_terms, strict_distinct):
     """_layer_masks's layers as ints, once each is checked to be limit // 8 + 1
     bytes and its returned count to be its own bit count, and the build
-    for no walk to return the same counts and the last layer alone."""
+    for no walk to return the same counts and the last layer alone, also
+    with windows of 8 bits, where the block cache spans many windows and
+    holds blocks far below the window that reads them."""
     layers, counts = pollock._layer_masks(values, limit, max_terms, strict_distinct)
     assert all(len(layer) == limit // 8 + 1 for layer in layers)
     masks = [int.from_bytes(layer, "little") for layer in layers]
@@ -252,6 +254,9 @@ def layer_ints(values, limit, max_terms, strict_distinct):
         values, limit, max_terms, strict_distinct, False
     )
     assert last == [layers[-1]] and last_counts == counts
+    with mock.patch.object(pollock, "LAYER_WINDOW", 8):
+        narrow = pollock._layer_masks(values, limit, max_terms, strict_distinct, False)
+    assert narrow == (last, counts)
     return masks
 
 
@@ -326,6 +331,14 @@ def ascending_pools(draw):
     max_terms=5,
     window=64,
     sparsity=16,
+)
+# windows of 8 bits over 2000: the top window's pairs read blocks from 0
+# to near its own, which stay cached until their own windows
+@example(
+    pool=([1, 2, 3, 700, 1000, 1500, 1990], 2000),
+    max_terms=6,
+    window=8,
+    sparsity=pollock.HOLE_SPARSITY,
 )
 # one window: the layer is its own only block
 @example(
@@ -512,9 +525,12 @@ def test_strict_depths_stop_at_the_deepest_layer():
 
 
 def test_dense_layer_temporaries_stay_window_sized(monkeypatch):
-    # a dense layer is grown in place, so it holds only the previous
-    # layer's block ints at full size
-    monkeypatch.setattr(pollock, "LAYER_WINDOW", 1 << 14, raising=False)
+    # a dense layer is grown in place, and a block of the previous layer
+    # becomes an int when a window first reads it and goes when its own
+    # window is written, so the cached blocks and a window's temporaries
+    # are all the build holds (0.78 layer sizes; 1.24 when the whole
+    # previous layer was cut into block ints first)
+    monkeypatch.setattr(pollock, "LAYER_WINDOW", 1 << 14)
     n = 10**6
     values = [entry.value for entry in platonic_pool(n)]
     layers, counts = pollock._layer_masks(values, n, 2, False)
@@ -525,13 +541,17 @@ def test_dense_layer_temporaries_stay_window_sized(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * layer, peak / layer
+    assert peak <= 1.0 * layer, peak / layer
 
 
-def test_report_only_scan_holds_one_layer():
+def test_report_only_scan_holds_one_layer(monkeypatch):
     # with no walk to read them, the layers are grown in one buffer and no
-    # layer below the last is kept: the scan holds that buffer, the block
-    # ints of the layer it grows, and temporaries
+    # layer below the last is kept: the scan holds that buffer, the blocks
+    # of the previous layer that windows have read and whose own windows
+    # are not yet written, and window-sized temporaries (1.84 layer sizes;
+    # 3.11 when layer 2 was counted as one int).  Windows of 2**14 bits are
+    # small beside the layer
+    monkeypatch.setattr(pollock, "LAYER_WINDOW", 1 << 14)
     n = 3 * 10**6
     layer = sys.getsizeof((1 << (n + 1)) - 1)
     tracemalloc.start()
@@ -541,7 +561,44 @@ def test_report_only_scan_holds_one_layer():
     finally:
         tracemalloc.stop()
     assert report.failures == ()
-    assert peak <= 5 * layer, peak / layer
+    assert peak <= 2 * layer, peak / layer
+
+
+def test_layer_two_is_counted_a_window_at_a_time(monkeypatch):
+    # layer 2 is counted one window of its bytes at a time, so the build
+    # holds the buffer and the residue tables (0.6 layer sizes at 3 * 10**6)
+    # and no copy or int of the whole layer (2.88 layer sizes when it did)
+    monkeypatch.setattr(pollock, "LAYER_WINDOW", 1 << 14)
+    n = 3 * 10**6
+    values = [entry.value for entry in platonic_pool(n)]
+    layer = sys.getsizeof((1 << (n + 1)) - 1)
+    tracemalloc.start()
+    try:
+        [built], counts = pollock._layer_masks(values, n, 2, False, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts[2] == int.from_bytes(built, "little").bit_count()
+    assert peak <= 1.75 * layer, peak / layer
+
+
+def test_holes_hold_no_copy_of_the_layer(monkeypatch):
+    # a layer's holes are found one window of its bytes at a time, so the
+    # flags of one window are the only copy (0.95 layer sizes when the
+    # whole layer was translated at once)
+    monkeypatch.setattr(pollock, "LAYER_WINDOW", 1 << 14)
+    n = 10**6
+    values = [entry.value for entry in platonic_pool(n)]
+    [built], _ = pollock._layer_masks(values, n, 3, False, False)
+    layer = sys.getsizeof((1 << (n + 1)) - 1)
+    tracemalloc.start()
+    try:
+        found = sum(map(len, pollock._holes(built, n)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == n + 1 - int.from_bytes(built, "little").bit_count()
+    assert peak <= 0.25 * layer, peak / layer
 
 
 @pytest.mark.parametrize(
@@ -596,18 +653,79 @@ SPARSE_HOLES = st.lists(
 ).map(lambda runs: b"".join(b"\xff" * full + chunk for full, chunk in runs))
 
 
+WINDOWS = st.sampled_from([8, 64, 1 << 14, pollock.LAYER_WINDOW])
+
+
 @settings(max_examples=200, deadline=None)
-@given(layer=st.binary(max_size=300) | SPARSE_HOLES, cut=st.integers(1, 8))
-@example(layer=b"", cut=8)
-@example(layer=bytes(1000), cut=8)
-@example(layer=b"\xff" * 1000, cut=8)
-@example(layer=bytes(range(256)), cut=8)  # every byte value once
-@example(layer=b"\xff" * 10_000 + b"\x7f", cut=8)  # a lone hole in the last byte
-@example(layer=b"\xff" * 10_000 + b"\x7f", cut=7)  # and past the limit
-def test_holes_match_a_per_bit_loop(layer, cut):
-    # the limit falls in the last byte, whose clear bits above it are no holes
+@given(
+    layer=st.binary(max_size=300) | SPARSE_HOLES, cut=st.integers(1, 8), window=WINDOWS
+)
+@example(layer=b"", cut=8, window=8)
+@example(layer=bytes(1000), cut=8, window=64)
+@example(layer=b"\xff" * 1000, cut=8, window=8)
+@example(layer=bytes(range(256)), cut=8, window=8)  # every byte value once
+# a lone hole in the last byte, and past the limit
+@example(layer=b"\xff" * 10_000 + b"\x7f", cut=8, window=1 << 14)
+@example(layer=b"\xff" * 10_000 + b"\x7f", cut=7, window=64)
+def test_holes_match_a_per_bit_loop(layer, cut, window):
+    # the limit falls in the last byte, whose clear bits above it are no
+    # holes; each window's list holds the holes inside it
     limit = 8 * len(layer) - 1 - (8 - cut)
-    assert pollock._holes(layer, limit) == holes_by_bit(layer, limit)
+    with mock.patch.object(pollock, "LAYER_WINDOW", window):
+        blocks = list(pollock._holes(layer, limit))
+    assert len(blocks) == -(-len(layer) * 8 // window)
+    for j, block in enumerate(blocks):
+        assert all(j * window <= h < (j + 1) * window for h in block)
+    assert [h for block in blocks for h in block] == holes_by_bit(layer, limit)
+
+
+@pytest.mark.parametrize("window", [8, 64, 1 << 14])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_window_edges_count_and_holes(window, edge, monkeypatch):
+    # limit + 1 one less than, equal to, or one more than a multiple of the
+    # window: the windowed count and holes equal the whole-layer forms
+    monkeypatch.setattr(pollock, "LAYER_WINDOW", window)
+    limit = 3 * window + edge - 1
+    values = [entry.value for entry in platonic_pool(limit)]
+    for max_terms in (2, 3):
+        [built], counts = pollock._layer_masks(values, limit, max_terms, False, False)
+        assert counts[-1] == int.from_bytes(built, "little").bit_count()
+        want = holes_by_bit(built, limit)
+        assert [h for block in pollock._holes(built, limit) for h in block] == want
+        report = scan_conjecture(limit, max_terms)
+        assert tuple(report.failures) == tuple(want)
+
+
+@pytest.mark.parametrize("window", [8, 64, 1 << 14])
+@pytest.mark.parametrize(
+    "n, max_terms, strict",
+    [(10, 1, False), (1000, 1, False), (2000, 2, False), (100_000, 3, False),
+     (120, 5, False), (300, 2, True)],
+)
+def test_failures_view_equals_the_holes_tuple(n, max_terms, strict, window, monkeypatch):
+    # the failures are a lazy view of the last layer; they equal the tuple
+    # of its holes, which the report held before, in length, items,
+    # slices, equality both ways and hash
+    monkeypatch.setattr(pollock, "LAYER_WINDOW", window)
+    report = scan_conjecture(n, max_terms, strict)
+    values = [entry.value for entry in platonic_pool(n)]
+    [last], _ = pollock._layer_masks(values, n, max_terms, strict, False)
+    want = tuple(holes_by_bit(last, n))
+    failures = report.failures
+    assert len(failures) == len(want) and bool(failures) == bool(want)
+    assert failures == want and want == failures and failures == failures
+    assert tuple(failures) == want and list(reversed(failures)) == list(want[::-1])
+    assert failures != want + (n + 1,) and failures != want[1:] + (n + 1,)
+    assert failures != list(want)
+    for index in (0, 1, -1, -2, len(want) // 2):
+        if -len(want) <= index < len(want):
+            assert failures[index] == want[index]
+    with pytest.raises(IndexError):
+        failures[len(want)]
+    for cut in (slice(-1, None), slice(None, 3), slice(1, -1, 2), slice(None, None, -3)):
+        assert failures[cut] == want[cut]
+    assert hash(failures) == hash(want) and repr(failures) == repr(want)
+    assert sum(report.histogram.values()) + len(failures) == n
 
 
 def test_scan_validation_and_ceiling():

@@ -2,6 +2,11 @@
 
     python tools/bench_cli.py --base PARENT_TREE --change . --runs 5 \
         --out BENCH_7.json "pollock 300000 --witnesses --format json" ...
+    python tools/bench_cli.py --base PARENT_TREE --change . --runs 5 \
+        --out BENCH_27.json --set report-ceilings
+
+`--set NAME` adds the command lines of a named set (SETS) after the ones
+given.
 
 Each command line runs `platonics ARGS` as `python -m platonics` would, with
 PYTHONPATH set to the tree's `src`, once per tree per round.  The rounds
@@ -57,6 +62,19 @@ import time
 from pathlib import Path
 
 SCHEMA = "bench_cli/1"
+
+#: Named sets of command lines.  `report-ceilings` is the report-only scan
+#: (no --witnesses) at its ceilings: the largest bound in table and json,
+#: and the one-term budget, whose failures are almost every integer.
+SETS = {
+    "report-ceilings": [
+        "pollock 100000000",
+        "pollock 100000000 --format json",
+        "pollock 10000000",
+        "pollock 10000000 --max-terms 1",
+        "pollock 1000000 --max-terms 1",
+    ],
+}
 
 #: Runs platonics as `python -m platonics ARGS` does, then writes its VmHWM
 #: in kB, its minor page faults and its user and system CPU seconds to the
@@ -149,7 +167,8 @@ def bench(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("commands", nargs="+", help="platonics arguments, quoted")
+    parser.add_argument("commands", nargs="*", help="platonics arguments, quoted")
+    parser.add_argument("--set", choices=SETS, help="add a named set of commands")
     parser.add_argument("--base", type=Path, required=True, help="parent source tree")
     parser.add_argument("--change", type=Path, required=True, help="changed tree")
     parser.add_argument("--runs", type=int, default=5, help="runs per tree (>= 3)")
@@ -157,13 +176,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 3:
         parser.error("--runs must be at least 3")
+    commands = args.commands + SETS.get(args.set, [])
+    if not commands:
+        parser.error("give a command line or --set")
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     document = json.loads(args.out.read_text()) if args.out.exists() else {}
     with tempfile.TemporaryDirectory() as cache:
         prefixes = {name: Path(cache) / name for name in trees}
-        commands = [
-            bench(trees, prefixes, command, args.runs) for command in args.commands
-        ]
+        commands = [bench(trees, prefixes, command, args.runs) for command in commands]
     document.update(
         schema=SCHEMA,
         host={
