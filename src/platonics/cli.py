@@ -394,7 +394,7 @@ def _cmd_pollock(args: argparse.Namespace) -> int:
 def _paper_tables_text(tables: list[DifferenceTable]) -> str:
     lines = ["platonic numbers: first 10 values of each family", ""]
     for table in tables:
-        lines.append(f"{table.kind.value}: " + ", ".join(_orders_text(table)[0]))
+        lines.append(f"{table.kind.value}: " + ", ".join(map(str, table.orders[0])))
     for table in tables:
         lines.append("")
         lines.append(f"forward differences: {table.kind.value}")
@@ -405,9 +405,10 @@ def _paper_tables_text(tables: list[DifferenceTable]) -> str:
 def _cmd_paper_tables(args: argparse.Namespace) -> int:
     tables = [difference_table(kind, 10) for kind in PlatonicKind]
     if args.format == "json":
+        orders = {t.kind.value: _orders_text(t) for t in tables}
         payload = {
-            "sequences": {t.kind.value: _orders_text(t)[0] for t in tables},
-            "difference_tables": {t.kind.value: _orders_text(t) for t in tables},
+            "sequences": {kind: text[0] for kind, text in orders.items()},
+            "difference_tables": orders,
         }
         text = json.dumps(payload) + "\n"
     elif args.format == "table":

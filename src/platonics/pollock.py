@@ -24,11 +24,15 @@ then tests each remaining hole against the values not yet shifted in.
 Those tests read the previous layer below the window's top, so the window
 is written over it only after them; a block of the previous layer becomes
 an int when a window first reads it, and goes when its own window is
-written.  A layer whose holes are already sparse tests them all at once and
-sets the ones reached only after every test.  Layering stops at the
-fixpoint.  The holes of a layer are found one window of its bytes at a
-time, a byte that is not full at a time, and the failures of a report are
-a lazy view of its last layer's holes (Failures).  So a report holds one
+written.  Both passes that read layers as ints, this build and the
+first-term fill of the walk, cut a layer's bytes into block ints with one
+reader (_bits) and shift windows out of neighbouring blocks with one kernel
+(_window_reader), which keeps a pair of blocks for its shifts.  A layer
+whose holes are already sparse tests them all at once and sets the ones
+reached only after every test.  Layering stops at the fixpoint.  The
+holes of a layer are found an eighth of a window of its bytes at a time,
+a byte that is not full at a time, and the failures of a report are a
+lazy view of its last layer's holes (Failures).  So a report holds one
 layer and window-sized temporaries.  Every layer is bit-identical to the
 plain shift-or over the whole pool.
 
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, islice, zip_longest
 from operator import eq, ge, itemgetter, sub
@@ -313,12 +317,11 @@ def _layer_masks(
                 buf[q + b] |= m
         del offsets, bits  # so the dense layers are not built beside them
         # counted a window at a time, so that no int of the whole layer exists
-        step = LAYER_WINDOW // 8
         with memoryview(buf) as view:
             counts.append(
                 sum(
-                    int.from_bytes(view[a : a + step], "little").bit_count()
-                    for a in range(0, size, step)
+                    _bits(view, lo, LAYER_WINDOW, limit).bit_count()
+                    for lo in range(0, limit + 1, LAYER_WINDOW)
                 )
             )
     # with repeats, a layer that adds nothing is a fixpoint, and so is a
@@ -359,6 +362,55 @@ MAX_CHUNK = 16
 LAYER_WINDOW = 1 << 19
 
 
+def _bits(layer: bytes, lo: int, width: int, limit: int) -> int:
+    """Bits lo up to lo + width - 1 of a layer's little-endian bytes, none
+    past `limit`, as an int, so for lo = q * width block q of the layer cut
+    into ints of `width` bits.  Neither lo nor width need be a multiple of
+    8: bytes that hold more than those bits are shifted right by lo's bit
+    in its byte and masked."""
+    hi = min(lo + width, limit + 1)
+    chunk = int.from_bytes(layer[lo >> 3 : (hi + 7) >> 3], "little")
+    # bytes that start at bit lo and hold no bit past hi are the block as
+    # they are; shifting and masking them anyway made block-sized
+    # temporaries that glibc trimmed from the heap top and faulted back
+    # in: 18.5k minor faults in `pollock 100000000`, against 8.9k
+    if lo & 7 or chunk.bit_length() > hi - lo:
+        chunk = chunk >> (lo & 7) & ((1 << (hi - lo)) - 1)
+    return chunk
+
+
+def _window_reader(block: Callable[[int], int], width: int) -> Callable[[int], int]:
+    """window(s): bits s up of a bitset whose block q of `width` bits is
+    block(q), as an int whose low `width` bits are exact; the bits above
+    them may miss some of the set's, so the caller masks them off.  A
+    negative s shifts in -s zeros, from block 0; otherwise block s // width
+    + 1 must exist.
+
+    This is the one kernel that both the layer build (_grow_layer) and the
+    first-term fill (_first_terms) shift windows with.  For s = q * width +
+    r >= 0 the window is one right shift by r of a pair int that joins
+    blocks q and q + 1.  The reader keeps the pair of its last q, so calls
+    in one pair cost a shift each, and with it a copy cut to 1.5 widths for
+    the shifts by r < width / 2, so that no shift makes more than 1.5
+    widths of bits.  The pair goes with the reader.
+    """
+    cut = (1 << (width + width // 2)) - 1
+    pair_at = pair = short = None
+
+    def window(s: int) -> int:
+        nonlocal pair_at, pair, short
+        if s < 0:
+            return block(0) << -s
+        q, r = divmod(s, width)
+        if q != pair_at:
+            # bit t of the pair is bit q * width + t of the set
+            pair_at, pair = q, block(q + 1) << width | block(q)
+            short = pair & cut
+        return (short if 2 * r < width else pair) >> r
+
+    return window
+
+
 def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> int:
     """Turn layer k - 1, of `count` bits, into layer k in place, for k >= 3,
     and return the new bit count.
@@ -371,17 +423,16 @@ def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> 
     A denser layer is built one window of LAYER_WINDOW bits at a time, from
     the top down, out of layer k - 1 cut into blocks of that width.  Block q
     becomes an int (below[q]) the first time a window reads it, from the
-    layer's bytes through a memoryview slice, and is cached.  Window j reads
-    only blocks up to j, and only window j writes over block j, so every
-    block below a window's top still holds layer k - 1 and a cached block
-    stays exact until its own window is written; it is freed then.  Window
-    j, whose first bit is lo, starts from block j.  While its holes
+    layer's bytes through a memoryview (_bits), and is cached.  Window j
+    reads only blocks up to j, and only window j writes over block j, so
+    every block below a window's top still holds layer k - 1 and a cached
+    block stays exact until its own window is written; it is freed then.
+    Window j, whose first bit is lo, starts from block j.  While its holes
     are dense it ORs in, value by value, the window of layer k - 1 at
-    offset s = lo - v: a value v <= lo as one right shift of a pair int
-    that joins blocks s // width and s // width + 1, a larger v as block 0
-    shifted left.  One pair int is alive at a time, with a copy cut to 1.5
-    widths for the shifts that would leave more bits than that above the
-    window.  The values nearest lo go first, since they read the bottom of
+    offset s = lo - v, from its own window reader over the cached blocks
+    (_window_reader), which goes with block j, before the window is
+    written, and with it the pair of blocks it holds.  The values nearest
+    lo go first, since they read the bottom of
     the previous layer, where its sums are densest, so each shift fills
     more holes.  Windows 0 and 1 take the values smallest first instead:
     that already reads blocks 0 and 1, and their shifts by values near lo
@@ -399,8 +450,6 @@ def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> 
             layer[h >> 3] |= 1 << (h & 7)
         return count + len(filled)
     width = LAYER_WINDOW
-    step = width // 8
-    cut = (1 << (width + width // 2)) - 1
     # below[q] is block q of layer k - 1 as an int, once a window has read it
     below: list[int | None] = [None] * -(-(limit + 1) // width)
     view = memoryview(layer)
@@ -408,7 +457,7 @@ def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> 
     def block(q: int) -> int:
         # block q's bytes still hold layer k - 1: only window q writes them
         if below[q] is None:
-            below[q] = int.from_bytes(view[q * step : (q + 1) * step], "little")
+            below[q] = _bits(view, q * width, width, limit)
         return below[q]
 
     # glibc trims the top of its heap once more than twice the largest
@@ -433,30 +482,19 @@ def _grow_layer(layer: bytearray, count: int, values: list[int], limit: int) -> 
         holes = span - mask.bit_count()
         used = 0
         chunk = 1
-        pair_at = None
+        shifted = _window_reader(block, width)
         while holes * HOLE_SPARSITY >= span and used < len(order):
             for v in order[used : used + chunk]:
-                s = lo - v
-                if s < 0:
-                    mask |= block(0) << -s
-                    continue
-                q, r = divmod(s, width)
-                if q != pair_at:
-                    # bit t of the pair is bit q * width + t of layer k - 1;
-                    # a shift by r < width / 2 takes it cut to 1.5 widths,
-                    # so that no shift makes more than 1.5 widths of bits
-                    pair_at, pair = q, block(q + 1) << width | block(q)
-                    short = pair & cut
-                mask |= (short if 2 * r < width else pair) >> r
+                mask |= shifted(lo - v)
             mask &= low
             used += chunk
             chunk = min(2 * chunk, MAX_CHUNK)
             holes = span - mask.bit_count()
-        below[j] = pair = short = None
+        below[j] = shifted = None
         count += span - holes
         window = bytearray(mask.to_bytes((span + 7) >> 3, "little"))
         if holes and used < len(order):
-            [found] = _holes(window, span - 1)
+            found = chain.from_iterable(_holes(window, span - 1))
             filled = _fill_holes(layer, [lo + h for h in found], order[used:])
             for h in filled:
                 h -= lo
@@ -493,14 +531,17 @@ _HOLE_FLAG = bytes([1] * 255 + [0])
 
 def _holes(layer: bytes, limit: int) -> Iterator[list[int]]:
     """The integers in [0, limit] that a layer's little-endian bytes do not
-    hold, ascending, as one list per window of LAYER_WINDOW bits.
+    hold, ascending, as one list per window of LAYER_WINDOW // 8 bits, in
+    whole bytes and at least one, so that the holes of a layer that holds
+    almost nothing, as with one term, exist as ints an eighth of a window
+    at a time; a dense window's holes are at most eight such lists.
 
     Each window's bytes are mapped to 0/1 flags, and bytes.find (memchr)
     steps from one flagged byte to the next, so a run of 0xFF bytes costs no
     Python step; the window's offset is added to each hole.  The last
     byte's clear bits past the limit are not holes.
     """
-    step = LAYER_WINDOW // 8
+    step = max(1, LAYER_WINDOW // 64)
     for a in range(0, (limit >> 3) + 1, step):
         flags = layer[a : a + step].translate(_HOLE_FLAG)
         found = []
@@ -675,30 +716,6 @@ WITNESS_BLOCK = 1 << 16
 _LANE_BIT = [bytes.maketrans(b"01", bytes([0, 1 << b])) for b in range(8)]
 
 
-def _block_ints(layer: bytes, limit: int, width: int) -> list[int]:
-    """The bits 0..limit of a layer's bytes as ints of `width` bits; entry
-    j holds bits j * width up."""
-    # a layer narrower than one block gets no wider mask
-    low = (1 << min(width, limit + 1)) - 1
-    return [
-        int.from_bytes(layer[lo >> 3 : ((lo + width - 1) >> 3) + 1], "little")
-        >> (lo & 7)
-        & low
-        for lo in range(0, limit + 1, width)
-    ]
-
-
-def _shifted_window(blocks: list[int], s: int, width: int) -> int:
-    """Bits s up of the bitset cut into `blocks` of `width` bits (_block_ints),
-    as an int whose low `width` bits are exact; the bits above it may miss
-    some of the set's, so the caller masks them off.  A negative s shifts in
-    -s zeros."""
-    if s < 0:
-        return blocks[0] << -s
-    q, r = divmod(s, width)
-    return blocks[q] >> r | blocks[q + 1] << (width - r)
-
-
 def _lanes(planes: Iterable[int], span: int) -> bytes:
     """`span` bytes, byte t of which has bit b set where bit t of plane b is,
     for at most 8 planes of at most `span` bits.
@@ -735,10 +752,12 @@ def _first_terms(
     of the bits of k.  The layers are cumulative, so the block's passes stop
     at the first k whose layer k - 1 equals the deepest layer there: no
     target of the block is deeper.  A byte holds a depth up to 255: the
-    strict scans' ceilings keep every depth under 179.  A pass's window of
-    layer k - 1 starts at a bit offset s < lo and is two shifts and an OR
-    of the block ints that hold it (_shifted_window), so a block reads no
-    layer block above its own, and its own are freed once it is filled.
+    strict scans' ceilings keep every depth under 179.  The layers are cut
+    into block ints by the build's reader (_bits), and a pass's window of
+    layer k - 1 starts at a bit offset s < lo and comes from a window
+    reader over that layer's blocks (_window_reader), one per layer of the
+    block, so a block reads no layer block above its own, and its own are
+    freed once it is filled.
     The hits are not read out bit by bit: they are ORed into one bitplane
     per bit of the index, and at the end of the block the planes are
     spread into byte lanes (_lanes) and written into F.  'H' holds the
@@ -748,7 +767,10 @@ def _first_terms(
     width = WITNESS_BLOCK
     # the list given is emptied as its layers are cut, so the bytes that
     # nothing else holds go before the table is allocated
-    layers = [_block_ints(layers.pop(0), limit, width) for _ in range(len(layers))]
+    layers = [
+        [_bits(layer, lo, width, limit) for lo in range(0, limit + 1, width)]
+        for layer in (layers.pop(0) for _ in range(len(layers)))
+    ]
     deepest = layers[-1]
     depths: list[list[int]] = [[]] * len(deepest)
     table = bytearray(2 * (limit + 1))
@@ -766,6 +788,7 @@ def _first_terms(
             if k > 255:
                 raise ValueError(f"depth {k} at {lo} exceeds a byte")
             open_ = layers[k][j] & ~below[j]
+            shifted = _window_reader(below.__getitem__, width)
             for bit in range(k.bit_length()):
                 if k >> bit & 1:
                     depths[j][bit] |= open_
@@ -778,7 +801,7 @@ def _first_terms(
                 s = lo - values[i]
                 if s + open_.bit_length() <= 0:
                     continue
-                hits = open_ & _shifted_window(below, s, width)
+                hits = open_ & shifted(s)
                 if hits:
                     open_ ^= hits
                     for bit in range((i + 1).bit_length()):

@@ -94,14 +94,26 @@ def test_each_tree_runs_from_its_own_compiled_prefix(tmp_path, monkeypatch):
     assert not any(prefix.exists() for _, prefix, _, _ in calls)
 
 
+def parsed_set(name):
+    """The command lines of a named set, each parsed as platonics parses it."""
+    return [cli._build_parser().parse_args(line.split()) for line in bench_cli.SETS[name]]
+
+
 def test_named_sets_parse_as_platonics_command_lines():
     # each line of a named set is a platonics command that the parser takes
-    parsed = {
-        name: [cli._build_parser().parse_args(line.split()) for line in lines]
-        for name, lines in bench_cli.SETS.items()
-    }
-    report = parsed["report-ceilings"]
+    for name in bench_cli.SETS:
+        parsed_set(name)
+    report = parsed_set("report-ceilings")
     assert report and all(a.command == "pollock" and not a.witnesses for a in report)
+
+
+def test_witness_streams_set_streams_witnesses():
+    # every line streams witnesses, in both formats that can, and one of
+    # them with distinct values
+    streams = parsed_set("witness-streams")
+    assert streams and all(a.command == "pollock" and a.witnesses for a in streams)
+    assert {a.format for a in streams} == {"json", "table"}
+    assert any(a.strict_distinct for a in streams)
 
 
 def test_a_set_or_a_command_line_is_required(tmp_path):

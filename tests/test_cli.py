@@ -373,9 +373,10 @@ def whole_report_text(fmt, report):
 def test_pollock_report_written_in_blocks_equals_the_whole_text(
     args, fmt, window, capsys, monkeypatch
 ):
-    # the failures are written one window of the last layer at a time; the
-    # text is the one rendered from all of them at once, with no separator
-    # lost or doubled where a window with no failures lies between others
+    # the failures are written one hole window of the last layer at a time
+    # (an eighth of the layer window, at least a byte); the text is the one
+    # rendered from all of them at once, with no separator lost or doubled
+    # where a window with no failures lies between others
     monkeypatch.setattr(pollock, "LAYER_WINDOW", window)
     code, out, _ = run_cli(["pollock", *args, "--format", fmt], capsys)
     n, max_terms = int(args[0]), int(args[-1]) if len(args) > 1 else 5
@@ -389,9 +390,11 @@ def test_pollock_report_written_in_blocks_equals_the_whole_text(
 
 
 def test_pollock_report_failures_stay_window_sized(monkeypatch):
-    # with one term most integers fail; they are rendered one window of the
-    # last layer at a time, so a window's failures as ints and text are the
-    # peak, not all of them (829 layer sizes before, 110 MB)
+    # with one term most integers fail; they are rendered one hole window
+    # of the last layer at a time, an eighth of the layer window, here
+    # 2**11 bits, so a hole window's failures as ints and text are the
+    # peak, not all of them (4.7 layer sizes; 16.7 with hole windows as
+    # wide as the layer window, 829 before, 110 MB)
     monkeypatch.setattr(pollock, "LAYER_WINDOW", 1 << 14)
     n = 10**6
     layer = sys.getsizeof((1 << (n + 1)) - 1)
@@ -402,7 +405,7 @@ def test_pollock_report_failures_stay_window_sized(monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 5
-    assert peak <= 20 * layer, peak / layer
+    assert peak <= 8 * layer, peak / layer
 
 
 def test_pollock_strict_distinct_exit_5(capsys):

@@ -66,6 +66,9 @@ SCHEMA = "bench_cli/1"
 #: Named sets of command lines.  `report-ceilings` is the report-only scan
 #: (no --witnesses) at its ceilings: the largest bound in table and json,
 #: and the one-term budget, whose failures are almost every integer.
+#: `witness-streams` is the witness stream, which fills the first-term table
+#: from every layer: json at three sizes, table at the smallest, and the
+#: strict stream.
 SETS = {
     "report-ceilings": [
         "pollock 100000000",
@@ -73,6 +76,13 @@ SETS = {
         "pollock 10000000",
         "pollock 10000000 --max-terms 1",
         "pollock 1000000 --max-terms 1",
+    ],
+    "witness-streams": [
+        "pollock 300000 --witnesses --format json",
+        "pollock 300000 --witnesses --format table",
+        "pollock 1000000 --witnesses --format json",
+        "pollock 10000000 --witnesses --format json",
+        "pollock 1000000 --strict-distinct --witnesses --format json",
     ],
 }
 
