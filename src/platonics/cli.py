@@ -35,7 +35,7 @@ from .pollock import ScanReport, _gather, _scan, _WitnessBlock, _witnesses
 from .representations import (
     REPRESENT_MAX_DIGITS,
     NotDivisibleError,
-    Representation,
+    _decimal_texts,
     represent_multiple,
 )
 from .sequences import (
@@ -190,23 +190,41 @@ def _cmd_difftable(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- represent
 
 
-def _equation_text(rep: Representation) -> str:
-    parts = []
-    for j, (coeff, index) in enumerate(zip(rep.coefficients, rep.indices)):
-        term = f"{abs(coeff)}*{rep.kind.value}({index})"
-        if j == 0:
-            parts.append(term if coeff >= 0 else f"-{term}")
-        else:
-            parts.append(f"{'+' if coeff >= 0 else '-'} {term}")
-    return f"{rep.target} = " + " ".join(parts) + "\n"
-
-
 def _cmd_represent(args: argparse.Namespace) -> int:
+    """The representation in its format, laid out from the decimal texts of
+    `_decimal_texts`, so that no int above the coefficients is converted to
+    text; the table has no values, so they are not computed for it.  json
+    and csv give `to_json_dict`'s keys in its order."""
     rep = represent_multiple(PlatonicKind(args.kind), args.target)
+    indices, target, values = _decimal_texts(rep, args.format != "table")
+    kind, coefficients = rep.kind.value, rep.coefficients
     if args.format == "table":
-        text = _equation_text(rep)
+        (first, base), *later = zip(coefficients, indices)
+        terms = [f"{first}*{kind}({base})"]
+        terms += [f"{'-' if c < 0 else '+'} {abs(c)}*{kind}({i})" for c, i in later]
+        text = f"{target} = {' '.join(terms)}\n"
+    elif args.format == "json":
+        text = (
+            '{"kind": "%s", "base_index": %s, "coefficients": [%s], '
+            '"indices": [%s], "values": ["%s"], "target": "%s"}\n'
+        ) % (
+            kind,
+            indices[0],
+            ", ".join(map(str, coefficients)),
+            ", ".join(indices),
+            '", "'.join(values),
+            target,
+        )
     else:
-        text = _records_text(args.format, [rep.to_json_dict()])
+        header = "kind,base_index,coefficients,indices,values,target\n"
+        text = header + "%s,%s,%s,%s,%s,%s\n" % (
+            kind,
+            indices[0],
+            ";".join(map(str, coefficients)),
+            ";".join(indices),
+            ";".join(values),
+            target,
+        )
     _write(args, [text])
     return EXIT_OK
 
@@ -522,14 +540,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # Interpreters since 3.10.7 refuse int/str conversions past a digit
     # limit (4300 by default); lift it as far as `represent` needs, for this
-    # call only.  `represent` converts its target and indices; its values
-    # are made as decimal text without int/str conversion.  An index can
-    # have one digit more than the largest target: base + 1 of the
-    # tetrahedral target -(10**10000 - 1) is 10**10000.  Zero means no
-    # limit, as on interpreters without one.
+    # call only.  `represent` parses its target from text, and its errors
+    # quote it; its output is made as decimal text without int/str
+    # conversion.  Zero means no limit, as on interpreters without one.
     saved_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if saved_limit:
-        sys.set_int_max_str_digits(max(saved_limit, REPRESENT_MAX_DIGITS + 1))
+        sys.set_int_max_str_digits(max(saved_limit, REPRESENT_MAX_DIGITS))
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)

@@ -11,8 +11,10 @@ recurrence y[n] = 4y[n-1] - 6y[n-2] + 4y[n-3] - y[n-4], and so does
 e(n) = f(n+s) - f(n).  If e(n) = 0 mod d for n = 1..4, the recurrence
 carries it to every later n, and since its last coefficient -1 is a unit
 mod d it runs backwards too; so s repeats mod d exactly when those four
-differences vanish.  The values come from the exact closed forms, not from
-the case split, so the check stays independent of the claim it tests.
+differences vanish.  Each difference is tested on the closed form's
+numerator N = q*f: d divides f(n+s) - f(n) exactly when d*q divides
+N(n+s) - N(n).  The numerators are the exact closed forms, not the case
+split, so the check stays independent of the claim it tests.
 
 A report where the two periods disagree is a legitimate finding, not an
 error; an error is raised only if the closed form fails to be a period at
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .sequences import PlatonicKind, platonic_value
+from .sequences import _CLOSED_FORMS, PlatonicKind
 
 #: Largest modulus the empirical detector accepts.
 PERIOD_MAX_MODULUS = 10**6
@@ -103,9 +105,11 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
-# f(1..4) of each family: the left-hand sides of every four-residue test.
-_FIRST_VALUES = {
-    kind: tuple(platonic_value(kind, n) for n in range(1, 5)) for kind in PlatonicKind
+# N(1..4) of each family's closed-form numerator N: the left-hand sides of
+# every four-residue test.
+_FIRST_NUMERATORS = {
+    kind: tuple(numerator(n) for n in range(1, 5))
+    for kind, (numerator, _) in _CLOSED_FORMS.items()
 }
 
 
@@ -118,16 +122,19 @@ def empirical_period(kind: PlatonicKind, d: int) -> int:
     primes p for as long as the quotient is still a period: a quotient that
     fails is no longer a multiple of the minimum, so p is then down to the
     minimum's power of it.  Each shift s is certified by f(n+s) = f(n) mod d
-    at n = 1..4, which by the shared recurrence holds for every n (see the
+    at n = 1..4, which by the shared recurrence holds for every n, and which
+    is tested as N(n+s) = N(n) mod d*q on the numerator N = q*f (see the
     module docstring).
     """
     _require_period_modulus(d)
     length = closed_form_period(kind, d)
-    base = _FIRST_VALUES[kind]
+    numerator, divisor = _CLOSED_FORMS[kind]
+    modulus = d * divisor
+    first = _FIRST_NUMERATORS[kind]
 
     def repeats(shift: int) -> bool:
-        for n, value in enumerate(base, 1):
-            if (platonic_value(kind, n + shift) - value) % d:
+        for n, value in enumerate(first, 1):
+            if (numerator(n + shift) - value) % modulus:
                 return False
         return True
 

@@ -5,6 +5,11 @@ but a linear term, so for each family there is a fixed coefficient tuple
 over four consecutive indices whose value at base index n is M*n for a
 family-specific modulus M.  That turns "m is divisible by M" into an
 explicit four-term representation of m with base index m/M.
+
+Every decimal text of a representation (its indices, its target and its
+values) is made from one Decimal of its base index, so no int above the
+coefficients is converted to text: CPython does that in time quadratic in
+the digits, and refuses it past its digit limit.
 """
 
 from __future__ import annotations
@@ -82,33 +87,52 @@ class Representation:
     def to_json_dict(self) -> dict:
         """The representation with its values and target as decimal text;
         raises ArithmeticError if the values do not combine to the target."""
-        target = str(self.target)
+        _, target, values = _decimal_texts(self, with_values=True)
         return {
             "kind": self.kind.value,
             "base_index": self.base_index,
             "coefficients": list(self.coefficients),
             "indices": list(self.indices),
-            "values": _values_text(self, target),
+            "values": values,
             "target": target,
         }
 
 
-def _values_text(rep: Representation, target: str) -> list[str]:
-    """Decimal text of rep's four values, made without `str` of an int.
+def _decimal_texts(
+    rep: Representation, with_values: bool
+) -> tuple[list[str], str, list[str] | None]:
+    """Decimal text of rep's four indices, of its target and, with
+    `with_values`, of its four values (else None), all from one Decimal b
+    of the base index, in time linear in the digits.
 
-    The values are computed afresh in decimal arithmetic, so their text is
-    checked as represent_multiple checks the ints: the combination of the
-    Decimals must equal the target, whose text is parsed back.  Both steps
-    take time linear in the digits.
+    The indices are b + j.  The target of a representation that
+    represent_multiple made is +-M*b; a hand-built one whose target is not
+    is converted itself.  The values are computed afresh in decimal
+    arithmetic, so their text is checked as represent_multiple checks the
+    ints: the combination of the Decimals must equal the target.  The
+    context holds every one of these numbers exactly and traps rounding.
     """
-    context, values = _decimal_values(rep.kind, rep.base_index)
+    import decimal  # as in _decimal_values, which has loaded it already
+
+    context, b, values = _decimal_values(rep.kind, rep.base_index)
+    indices = [format(context.add(b, j), "f") for j in range(4)]
+    modulus = COMBINATION_MODULUS[rep.kind]
+    signed = -modulus if rep.target < 0 else modulus
+    if rep.target == signed * rep.base_index:
+        target = context.multiply(signed, b)
+    else:
+        target = decimal.Decimal(rep.target)
+    target_text = format(target, "f")
+    if not with_values:
+        return indices, target_text, None
+    values = list(values)
     total = reduce(context.add, map(context.multiply, rep.coefficients, values))
-    if total != context.create_decimal(target):
+    if total != target:
         raise ArithmeticError(
             f"combination for {rep.kind.value} evaluated to {total:f} in "
-            f"decimal, expected {target}"
+            f"decimal, expected {target_text}"
         )
-    return [format(value, "f") for value in values]
+    return indices, target_text, [format(value, "f") for value in values]
 
 
 def evaluate_representation(rep: Representation) -> int:

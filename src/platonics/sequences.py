@@ -95,18 +95,19 @@ _SHIFTED_NUMERATORS = {
 
 
 def _decimal_values(kind: PlatonicKind, base: int):
-    """The values at indices base..base+3 as exact Decimals, and the context
-    they were made in, which can combine them without rounding.
+    """The Decimal of `base`, a context that holds it and every value at
+    indices base..base+3 without rounding, and an iterator of those values
+    as exact Decimals, computed as it is read.
 
     CPython converts an int to decimal text in time quadratic in its digits,
     and these values have about three times the digits of `base`.  So only
     `base` is converted, and each value is its numerator, a small-integer
     combination of base^3, base^2, base and 1, divided by the family's
     divisor, all in decimal arithmetic, whose text `format(value, "f")`
-    gives in linear time.  The context holds every value's digits, and it
-    traps Inexact and Rounded, so a division that leaves a remainder raises
-    `decimal.Inexact`, an ArithmeticError.  A negative base is a domain
-    error, as in platonic_value.
+    gives in linear time.  The context traps Inexact and Rounded, so a
+    division that leaves a remainder raises `decimal.Inexact`, an
+    ArithmeticError.  A negative base is a domain error, as in
+    platonic_value.
     """
     import decimal  # here, so that importing the package does not load it
 
@@ -116,16 +117,16 @@ def _decimal_values(kind: PlatonicKind, base: int):
     context = decimal.Context(
         prec=3 * (b.adjusted() + 1) + 12, traps=[decimal.Inexact, decimal.Rounded]
     )
-    b2 = context.multiply(b, b)
-    powers = (1, b, b2, context.multiply(b2, b))
-    divisor = _CLOSED_FORMS[kind][1]
-    values = [
-        context.divide(
-            reduce(context.add, map(context.multiply, coefficients, powers)), divisor
-        )
-        for coefficients in _SHIFTED_NUMERATORS[kind]
-    ]
-    return context, values
+
+    def values():
+        b2 = context.multiply(b, b)
+        powers = (1, b, b2, context.multiply(b2, b))
+        divisor = _CLOSED_FORMS[kind][1]
+        for coefficients in _SHIFTED_NUMERATORS[kind]:
+            numerator = reduce(context.add, map(context.multiply, coefficients, powers))
+            yield context.divide(numerator, divisor)
+
+    return context, b, values()
 
 
 def platonic_value(kind: PlatonicKind, n: int) -> int:

@@ -8,11 +8,18 @@ import importlib.util
 import json
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from platonics import cli
+from platonics import (
+    DIFFERENCE_MAX_ROWS,
+    PERIOD_MAX_MODULI,
+    PERIOD_MAX_MODULUS,
+    SEQUENCE_MAX_INDEX,
+    cli,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -95,8 +102,19 @@ def test_each_tree_runs_from_its_own_compiled_prefix(tmp_path, monkeypatch):
 
 
 def parsed_set(name):
-    """The command lines of a named set, each parsed as platonics parses it."""
-    return [cli._build_parser().parse_args(line.split()) for line in bench_cli.SETS[name]]
+    """The command lines of a named set, each parsed as platonics parses it,
+    with the int/str digit limit lifted as `cli.main` lifts it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(max(limit, cli.REPRESENT_MAX_DIGITS))
+    try:
+        return [
+            cli._build_parser().parse_args(line.split())
+            for line in bench_cli.SETS[name]
+        ]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_named_sets_parse_as_platonics_command_lines():
@@ -114,6 +132,27 @@ def test_witness_streams_set_streams_witnesses():
     assert streams and all(a.command == "pollock" and a.witnesses for a in streams)
     assert {a.format for a in streams} == {"json", "table"}
     assert any(a.strict_distinct for a in streams)
+
+
+def test_arith_ceilings_set_runs_every_other_command_at_its_ceiling():
+    lines = parsed_set("arith-ceilings")
+    commands = {a.command for a in lines}
+    assert commands == {"represent", "period", "gen", "verify-identities", "difftable"}
+    represent = [a for a in lines if a.command == "represent"]
+    largest = 10**cli.REPRESENT_MAX_DIGITS - 1
+    ceiling = [a.format for a in represent if a.target == -largest]
+    assert sorted(ceiling) == sorted(cli.FORMATS)
+    assert any(a.kind == "dodecahedral" and a.target > 10**4300 for a in represent)
+    for a in lines:
+        if a.command == "period":
+            lo, hi = a.range
+            assert (hi, hi - lo + 1) == (PERIOD_MAX_MODULUS, PERIOD_MAX_MODULI)
+        elif a.command == "gen":
+            assert a.range[1] == SEQUENCE_MAX_INDEX and a.check_recurrence
+        elif a.command == "verify-identities":
+            assert a.range[1] == cli.IDENTITY_MAX_INDEX
+        elif a.command == "difftable":
+            assert a.rows == DIFFERENCE_MAX_ROWS
 
 
 def test_a_set_or_a_command_line_is_required(tmp_path):

@@ -1,5 +1,6 @@
 """CLI surface: arguments, formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,12 +8,17 @@ import sys
 import time
 import tracemalloc
 from array import array
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platonics import (
+    COMBINATION_MODULUS,
     DIFFERENCE_MAX_ROWS,
+    REPRESENT_MAX_DIGITS,
     SEQUENCE_MAX_INDEX,
     PlatonicKind,
     Representation,
@@ -201,6 +207,103 @@ def test_represent_text_past_the_default_digit_limit(kind, target, fmt, capsys):
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+@contextmanager
+def int_text_limit_at(limit):
+    """Run the body with the int/str digit limit at `limit` (0: none), on
+    interpreters that have one."""
+    settable = hasattr(sys, "set_int_max_str_digits")
+    saved = int_text_limit()
+    if settable:
+        sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        if settable:
+            sys.set_int_max_str_digits(saved)
+
+
+def reference_equation_text(rep):
+    """The table line of a representation as it was rendered with `str` of
+    its ints, before it was made from decimal texts."""
+    parts = []
+    for j, (coeff, index) in enumerate(zip(rep.coefficients, rep.indices)):
+        term = f"{abs(coeff)}*{rep.kind.value}({index})"
+        if j == 0:
+            parts.append(term if coeff >= 0 else f"-{term}")
+        else:
+            parts.append(f"{'+' if coeff >= 0 else '-'} {term}")
+    return f"{rep.target} = " + " ".join(parts) + "\n"
+
+
+def reference_texts(rep):
+    """Each format of `represent` for rep, rendered through `str` of its
+    ints: `json.dumps` and `_records_text` of `to_json_dict`, and the
+    earlier equation text."""
+    with int_text_limit_at(0):
+        payload = rep.to_json_dict()
+        return {
+            "json": json.dumps(payload) + "\n",
+            "csv": cli._records_text("csv", [payload]),
+            "table": reference_equation_text(rep),
+        }
+
+
+def assert_represent_renders_reference(kind, target):
+    rep = representations.represent_multiple(kind, target)
+    with int_text_limit_at(0):
+        argv = ["represent", kind.value, str(target)]
+    for fmt, text in reference_texts(rep).items():
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main([*argv, "--format", fmt]) == 0
+        assert out.getvalue() == text, (kind, fmt)
+
+
+def test_represent_renders_reference_examples():
+    # 1, 1,700, 4,299 to 4,301 and 10,000 digits, both signs; 0; and bases
+    # 10**k - 1, - 2 and - 3, whose later indices gain a digit
+    for kind in PlatonicKind:
+        modulus = COMBINATION_MODULUS[kind]
+        targets = [0]
+        for digits in (1, 1700, 4299, 4300, 4301, REPRESENT_MAX_DIGITS):
+            targets.append((10**digits - 1) // modulus * modulus)
+        for k in (1, 4300, REPRESENT_MAX_DIGITS - 2):
+            targets += [modulus * (10**k - j) for j in (1, 2, 3)]
+        for target in targets:
+            assert_represent_renders_reference(kind, target)
+            assert_represent_renders_reference(kind, -target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(PlatonicKind)),
+    sign=st.sampled_from([1, -1]),
+    digits=st.integers(1, REPRESENT_MAX_DIGITS),
+    data=st.data(),
+)
+def test_represent_renders_reference_property(kind, sign, digits, data):
+    value = data.draw(st.integers(0, 10**digits - 1), label="value")
+    modulus = COMBINATION_MODULUS[kind]
+    assert_represent_renders_reference(kind, sign * (value // modulus * modulus))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+)
+def test_represent_converts_no_int_to_text():
+    # The 10,000-digit target is parsed with the limit lifted; then every
+    # format is rendered with the default limit of 4,300 digits in place,
+    # which `str` of the target, the base or any index would exceed.
+    target = -(10**REPRESENT_MAX_DIGITS - 1)
+    expected = reference_texts(representations.represent_tetrahedral(target))
+    for fmt, text in expected.items():
+        with int_text_limit_at(0):
+            argv = ["represent", "tetrahedral", str(target), "--format", fmt]
+            args = cli._build_parser().parse_args(argv)
+        with int_text_limit_at(4300), redirect_stdout(io.StringIO()) as out:
+            assert cli._cmd_represent(args) == cli.EXIT_OK
+        assert out.getvalue() == text, fmt
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from platonics import (
     empirical_period,
     periodicity,
     platonic_value,
+    sequences,
 )
 
 
@@ -98,13 +99,44 @@ def test_detector_strips_each_prime_down_to_the_minimum(monkeypatch):
     # No platonic family needs a prime stripped twice, so a stand-in
     # sequence of minimal period 6 under a claimed period of 2**3 * 3**3 * 5
     # checks that 2 and 3 go twice each and 5 once.  It agrees with the
-    # cubes at n = 1..4 and its values stay distinct mod 1000.
-    real = platonic_value
+    # cubes at n = 1..4 and its values stay distinct mod 1000.  The detector
+    # reads the cubes' closed-form numerator, so the stand-in goes there.
+    numerator, divisor = sequences._CLOSED_FORMS[PlatonicKind.CUBE]
     monkeypatch.setattr(periodicity, "closed_form_period", lambda kind, d: 1080)
-    monkeypatch.setattr(
-        periodicity, "platonic_value", lambda kind, n: real(kind, (n - 1) % 6 + 1)
+    monkeypatch.setitem(
+        sequences._CLOSED_FORMS,
+        PlatonicKind.CUBE,
+        (lambda n: numerator((n - 1) % 6 + 1), divisor),
     )
     assert empirical_period(PlatonicKind.CUBE, 1000) == 6
+
+
+def reference_period(kind, d):
+    """The detector in its earlier form, with one platonic_value per
+    residue: the closed form certified by f(n + s) = f(n) mod d at n = 1..4,
+    then each prime stripped while the quotient still repeats."""
+    length = closed_form_period(kind, d)
+    first = [platonic_value(kind, n) for n in range(1, 5)]
+
+    def repeats(shift):
+        return all(
+            (platonic_value(kind, n + shift) - value) % d == 0
+            for n, value in enumerate(first, 1)
+        )
+
+    assert repeats(length)
+    period = length
+    for p in trial_division_primes(length):
+        while period % p == 0 and repeats(period // p):
+            period //= p
+    return period
+
+
+@pytest.mark.parametrize("kind", list(PlatonicKind))
+def test_numerator_residues_match_the_value_residues(kind):
+    # d*q divides N(n + s) - N(n) exactly when d divides f(n + s) - f(n)
+    for d in range(2, 3001):
+        assert empirical_period(kind, d) == reference_period(kind, d), d
 
 
 def trial_division_primes(n):
@@ -128,22 +160,28 @@ def test_prime_factors_match_trial_division(n):
 
 
 def test_period_range_value_calls_stay_bounded(monkeypatch, tmp_path):
-    # Each shift costs at most four closed-form values, and the detector
-    # tests at most one shift more than the closed form has prime factors,
-    # counted with multiplicity: 5,985 values for this command.  Testing
-    # every divisor cost 13,846, and a window of two closed-form periods
-    # per modulus would cost 328,118.
+    # Each shift costs at most four residues, each one closed-form
+    # numerator, and the detector tests at most one shift more than the
+    # closed form has prime factors, counted with multiplicity: 5,985
+    # residues for this command.  Testing every divisor cost 13,846, and a
+    # window of two closed-form periods per modulus would cost 328,118.
     calls = 0
 
-    def counting(kind, n):
-        nonlocal calls
-        calls += 1
-        return platonic_value(kind, n)
+    def counting(numerator):
+        def count(n):
+            nonlocal calls
+            calls += 1
+            return numerator(n)
 
-    monkeypatch.setattr(periodicity, "platonic_value", counting)
+        return count
+
+    for kind, (numerator, divisor) in list(sequences._CLOSED_FORMS.items()):
+        monkeypatch.setitem(
+            sequences._CLOSED_FORMS, kind, (counting(numerator), divisor)
+        )
     out = tmp_path / "period.csv"
     assert cli.main(["period", "all", "2..200", "--out", str(out)]) == 0
-    assert calls <= 6_500
+    assert 0 < calls <= 6_500
 
 
 def test_non_period_closed_form_raises(monkeypatch, capsys):

@@ -68,7 +68,12 @@ SCHEMA = "bench_cli/1"
 #: and the one-term budget, whose failures are almost every integer.
 #: `witness-streams` is the witness stream, which fills the first-term table
 #: from every layer: json at three sizes, table at the smallest, and the
-#: strict stream.
+#: strict stream.  `arith-ceilings` is every other command at its ceiling:
+#: `represent` of the 10,000-digit tetrahedral target -(10**10000 - 1),
+#: whose second index has 10,001 digits, in every format and of the
+#: 4,400-digit dodecahedral target 8181...81 in json, `period` over the last
+#: 10,000 moduli up to 10**6, and `gen`, `verify-identities` and `difftable`
+#: at their largest index or row count.
 SETS = {
     "report-ceilings": [
         "pollock 100000000",
@@ -83,6 +88,17 @@ SETS = {
         "pollock 1000000 --witnesses --format json",
         "pollock 10000000 --witnesses --format json",
         "pollock 1000000 --strict-distinct --witnesses --format json",
+    ],
+    "arith-ceilings": [
+        f"represent tetrahedral -{'9' * 10_000} --format json",
+        f"represent tetrahedral -{'9' * 10_000} --format csv",
+        f"represent tetrahedral -{'9' * 10_000} --format table",
+        f"represent dodecahedral {'81' * 2_200} --format json",
+        "period all 990001..1000000 --format json",
+        "period all 990001..1000000 --format csv",
+        "gen dodecahedral 1..1000000 --check-recurrence --format json",
+        "verify-identities all 1..10000 --format json",
+        "difftable dodecahedral 100000 --format json",
     ],
 }
 
