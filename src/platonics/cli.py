@@ -57,7 +57,7 @@ FORMATS = ("table", "json", "csv")
 KIND_NAMES = tuple(kind.value for kind in PlatonicKind)
 
 #: Largest index `verify-identities` checks; `verify-identities all
-#: 1..10000` takes 1.9 to 2.6 s and 82 to 178 MB, by format (BENCH_14.json).
+#: 1..10000` takes 0.9 to 1.3 s and 81 to 177 MB, by format (BENCH_30.json).
 IDENTITY_MAX_INDEX = 10_000
 
 
@@ -194,7 +194,8 @@ def _cmd_represent(args: argparse.Namespace) -> int:
     """The representation in its format, laid out from the decimal texts of
     `_decimal_texts`, so that no int above the coefficients is converted to
     text; the table has no values, so they are not computed for it.  json
-    and csv give `to_json_dict`'s keys in its order."""
+    and csv give `to_json_dict`'s keys in its order: json from one
+    template, csv by `_records_text` over one record of the texts."""
     rep = represent_multiple(PlatonicKind(args.kind), args.target)
     indices, target, values = _decimal_texts(rep, args.format != "table")
     kind, coefficients = rep.kind.value, rep.coefficients
@@ -216,15 +217,15 @@ def _cmd_represent(args: argparse.Namespace) -> int:
             target,
         )
     else:
-        header = "kind,base_index,coefficients,indices,values,target\n"
-        text = header + "%s,%s,%s,%s,%s,%s\n" % (
-            kind,
-            indices[0],
-            ";".join(map(str, coefficients)),
-            ";".join(indices),
-            ";".join(values),
-            target,
-        )
+        record = {
+            "kind": kind,
+            "base_index": indices[0],
+            "coefficients": list(coefficients),
+            "indices": indices,
+            "values": values,
+            "target": target,
+        }
+        text = _records_text(args.format, [record])
     _write(args, [text])
     return EXIT_OK
 
@@ -258,12 +259,8 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
         raise ValueError(f"need 1 <= lo <= hi, got {lo}..{hi}")
     if hi > IDENTITY_MAX_INDEX:
         raise ValueError(f"index {hi} exceeds the ceiling {IDENTITY_MAX_INDEX}")
-    checks = [
-        check
-        for kind in _kinds_for(args.kind)
-        for order in range(1, 5)
-        for check in _identity_checks(kind, order, lo, hi)
-    ]
+    kinds = _kinds_for(args.kind)
+    checks = [check for kind in kinds for check in _identity_checks(kind, lo, hi)]
     _write(args, [_records_text(args.format, map(_identity_record, checks))])
     if any(not c.holds for c in checks):
         raise RuntimeError("a difference identity failed to hold")
@@ -361,8 +358,8 @@ def _witness_text(
 
 
 def _report_text(fmt: str, report: ScanReport) -> Iterator[str]:
-    """A report's text in its format, its failures written one block (a
-    window of the last layer) at a time."""
+    """A report's text in its format, its failures written one block (an
+    eighth of a window of the last layer) at a time."""
     blocks = report.failures.blocks()
     if fmt == "json":
         # the json.dumps text, its failures list written from the blocks
@@ -540,8 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # Interpreters since 3.10.7 refuse int/str conversions past a digit
     # limit (4300 by default); lift it as far as `represent` needs, for this
-    # call only.  `represent` parses its target from text, and its errors
-    # quote it; its output is made as decimal text without int/str
+    # call only.  The lift serves the parse of its target alone: its output
+    # and its error texts are made as decimal text without int/str
     # conversion.  Zero means no limit, as on interpreters without one.
     saved_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if saved_limit:

@@ -5,7 +5,8 @@ linear polynomials in the index, the order-3 difference is a constant, and
 the order-4 difference vanishes.  `identity_residual` evaluates both sides
 of the matching identity so a disagreement is diagnosable, not just
 detectable.  A run of indices shares one window of values and one pass of
-differencing, so each value is computed once per run, not once per index.
+differencing per order for all four orders, so each value is computed once
+per family and run, not once per index or order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .sequences import PlatonicKind, exact_div, forward_difference, platonic_value
+from .sequences import PlatonicKind, _difference_columns, exact_div
 
 # Right-hand sides of the order-1 identities.  The halves that appear for
 # the tetrahedral, icosahedral, and dodecahedral families are evaluated as
@@ -69,30 +70,30 @@ def expected_difference(kind: PlatonicKind, order: int, n: int) -> int:
     raise ValueError(f"order must be in 1..4, got {order}")
 
 
-def _identity_checks(
-    kind: PlatonicKind, order: int, lo: int, hi: int
-) -> Iterator[IdentityCheck]:
-    """`identity_residual` at every n in [lo, hi], from one window of values."""
-    if not 1 <= order <= 4:
-        raise ValueError(f"order must be in 1..4, got {order}")
+def _identity_checks(kind: PlatonicKind, lo: int, hi: int) -> Iterator[IdentityCheck]:
+    """`identity_residual` at every order 1..4 and every n in [lo, hi],
+    order-major, from one window of hi - lo + 5 values."""
     if lo < 1:
         raise ValueError(f"index must be >= 1, got {lo}")
-    window = [platonic_value(kind, n) for n in range(lo, hi + order + 1)]
-    for n, actual in enumerate(forward_difference(window, order), lo):
-        expected = expected_difference(kind, order, n)
-        yield IdentityCheck(
-            kind=kind,
-            order=order,
-            index=n,
-            expected=expected,
-            actual=actual,
-            holds=expected == actual,
-        )
+    columns = _difference_columns(kind, lo, hi - lo + 5)
+    for order in range(1, 5):
+        for n, actual in zip(range(lo, hi + 1), columns[order]):
+            expected = expected_difference(kind, order, n)
+            yield IdentityCheck(
+                kind=kind,
+                order=order,
+                index=n,
+                expected=expected,
+                actual=actual,
+                holds=expected == actual,
+            )
 
 
 def identity_residual(kind: PlatonicKind, order: int, n: int) -> IdentityCheck:
     """Evaluate one identity: closed form vs. raw-value differences."""
-    return next(_identity_checks(kind, order, n, n))
+    if not 1 <= order <= 4:
+        raise ValueError(f"order must be in 1..4, got {order}")
+    return tuple(_identity_checks(kind, n, n))[order - 1]
 
 
 def combined_residual_tetrahedral(n: int) -> int:
@@ -103,7 +104,5 @@ def combined_residual_tetrahedral(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    window = [platonic_value(PlatonicKind.TETRAHEDRAL, n + j) for j in range(4)]
-    second = forward_difference(window, 2)
-    third = forward_difference(second, 1)[0]
-    return second[0] - 2 * third
+    _, _, second, third, _ = _difference_columns(PlatonicKind.TETRAHEDRAL, n, 5)
+    return second[0] - 2 * third[0]

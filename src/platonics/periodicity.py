@@ -6,15 +6,17 @@ empirical detector works like order finding: it certifies the closed form,
 then strips its prime factors one at a time for as long as what is left
 still repeats, and reports the shift it ends at.
 
-A shift s is decided from four residues.  Every family satisfies the order-4
-recurrence y[n] = 4y[n-1] - 6y[n-2] + 4y[n-3] - y[n-4], and so does
-e(n) = f(n+s) - f(n).  If e(n) = 0 mod d for n = 1..4, the recurrence
-carries it to every later n, and since its last coefficient -1 is a unit
-mod d it runs backwards too; so s repeats mod d exactly when those four
-differences vanish.  Each difference is tested on the closed form's
-numerator N = q*f: d divides f(n+s) - f(n) exactly when d*q divides
-N(n+s) - N(n).  The numerators are the exact closed forms, not the case
-split, so the check stays independent of the claim it tests.
+A shift s is decided from three residues.  It is tested on the closed
+form's numerator N = q*f, an integer cubic: d divides f(n+s) - f(n) exactly
+when d*q divides e(n) = N(n+s) - N(n), whose cubic terms cancel, so e is an
+integer quadratic in n.  In Newton form
+e(n) = e(1) + (n-1)*De(1) + C(n-1, 2)*D2e(1), with De(1) = e(2) - e(1) and
+D2e(1) = e(3) - 2e(2) + e(1), and C(n-1, 2) is an integer at every integer
+n.  So if e(1), e(2) and e(3) are 0 mod d*q, all three Newton coefficients
+are, and e(n) = 0 mod d*q for every n, later and earlier alike; s repeats
+mod d exactly when those three differences vanish.  The numerators are the
+exact closed forms, not the case split, so the check stays independent of
+the claim it tests.
 
 A report where the two periods disagree is a legitimate finding, not an
 error; an error is raised only if the closed form fails to be a period at
@@ -105,10 +107,10 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
-# N(1..4) of each family's closed-form numerator N: the left-hand sides of
-# every four-residue test.
+# N(1..3) of each family's closed-form numerator N: the left-hand sides of
+# every three-residue test.
 _FIRST_NUMERATORS = {
-    kind: tuple(numerator(n) for n in range(1, 5))
+    kind: tuple(numerator(n) for n in range(1, 4))
     for kind, (numerator, _) in _CLOSED_FORMS.items()
 }
 
@@ -122,9 +124,9 @@ def empirical_period(kind: PlatonicKind, d: int) -> int:
     primes p for as long as the quotient is still a period: a quotient that
     fails is no longer a multiple of the minimum, so p is then down to the
     minimum's power of it.  Each shift s is certified by f(n+s) = f(n) mod d
-    at n = 1..4, which by the shared recurrence holds for every n, and which
-    is tested as N(n+s) = N(n) mod d*q on the numerator N = q*f (see the
-    module docstring).
+    at n = 1..3, tested as N(n+s) = N(n) mod d*q on the numerator N = q*f,
+    which holds then for every n since N(n+s) - N(n) is a quadratic in n
+    (see the module docstring).
     """
     _require_period_modulus(d)
     length = closed_form_period(kind, d)

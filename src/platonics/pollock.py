@@ -115,10 +115,10 @@ class Failures(Sequence):
     ascending: a read-only view of that layer, which it keeps alive.
 
     Its length is limit + 1 less the layer's bit count, with no pass over
-    the layer.  Iteration finds the holes one window of the layer at a time
-    (_holes), as `blocks` yields them, so no more than one window's
-    failures exist as ints at once; indexing and slicing iterate up to the
-    last item asked for.  It equals a tuple or another view with the same
+    the layer.  Iteration finds the holes an eighth of a window of the
+    layer at a time (_holes), as `blocks` yields them, so no more than one
+    such block's failures exist as ints at once; indexing and slicing
+    iterate up to the last item asked for.  It equals a tuple or another view with the same
     items, and hashes as that tuple.
     """
 
@@ -129,8 +129,8 @@ class Failures(Sequence):
         return self._len
 
     def blocks(self) -> Iterator[list[int]]:
-        """The failures, one ascending list per window of the layer; a
-        window with none gives an empty list."""
+        """The failures, one ascending list per eighth of a window of the
+        layer; a block with none gives an empty list."""
         return _holes(self._layer, self._limit)
 
     def __iter__(self) -> Iterator[int]:

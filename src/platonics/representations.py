@@ -9,7 +9,11 @@ explicit four-term representation of m with base index m/M.
 Every decimal text of a representation (its indices, its target and its
 values) is made from one Decimal of its base index, so no int above the
 coefficients is converted to text: CPython does that in time quadratic in
-the digits, and refuses it past its digit limit.
+the digits, and refuses it past its digit limit.  The decimal arithmetic
+lives here: each value's numerator as a cubic in the base index
+(_SHIFTED_NUMERATORS, from the closed forms of `sequences`) and the exact
+context it is evaluated in (_decimal_texts).  The error texts quote a
+target or a combination's value as Decimal text too.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import mul
 
-from .sequences import PlatonicKind, _decimal_values, platonic_value
+from .sequences import _CLOSED_FORMS, PlatonicKind, exact_div, platonic_value
 
 #: Largest target of a representation, in decimal digits: represent_multiple
 #: refuses |target| >= 10**REPRESENT_MAX_DIGITS.
@@ -49,6 +53,38 @@ COMBINATION_MODULUS = {
 }
 
 
+def _cubic_coefficients(values: list[int]) -> tuple[int, int, int, int]:
+    """Coefficients (a0, a1, a2, a3) of the cubic that takes `values` at
+    0, 1, 2, 3, from its forward differences d1, d2, d3 there:
+    p(x) = v0 + d1*x + d2*x(x-1)/2 + d3*x(x-1)(x-2)/6."""
+    v0, v1, v2, v3 = values
+    d1, d2, d3 = v1 - v0, v2 - 2 * v1 + v0, v3 - 3 * v2 + 3 * v1 - v0
+    return (
+        v0,
+        exact_div(6 * d1 - 3 * d2 + 2 * d3, 6),
+        exact_div(d2 - d3, 2),
+        exact_div(d3, 6),
+    )
+
+
+# For each kind and shift j = 0..3, the coefficients of the numerator at
+# index b + j as a cubic in b, from the closed form's values at j..j+3.
+_SHIFTED_NUMERATORS = {
+    kind: tuple(
+        _cubic_coefficients([numerator(j + x) for x in range(4)]) for j in range(4)
+    )
+    for kind, (numerator, _) in _CLOSED_FORMS.items()
+}
+
+
+def _decimal_text(value: int) -> str:
+    """Decimal text of an int, in time linear in its digits and past the
+    interpreter's int/str digit limit."""
+    from decimal import Decimal  # as in _decimal_texts
+
+    return format(Decimal(value), "f")
+
+
 class NotDivisibleError(ValueError):
     """Raised when a target misses the divisibility the combination needs."""
 
@@ -57,8 +93,8 @@ class NotDivisibleError(ValueError):
         self.target = target
         self.modulus = modulus
         super().__init__(
-            f"{target} is not divisible by {modulus}, the modulus of the "
-            f"four-term {kind.value} combination"
+            f"{_decimal_text(target)} is not divisible by {modulus}, the "
+            f"modulus of the four-term {kind.value} combination"
         )
 
 
@@ -105,16 +141,29 @@ def _decimal_texts(
     `with_values`, of its four values (else None), all from one Decimal b
     of the base index, in time linear in the digits.
 
-    The indices are b + j.  The target of a representation that
-    represent_multiple made is +-M*b; a hand-built one whose target is not
-    is converted itself.  The values are computed afresh in decimal
-    arithmetic, so their text is checked as represent_multiple checks the
-    ints: the combination of the Decimals must equal the target.  The
-    context holds every one of these numbers exactly and traps rounding.
+    CPython converts an int to decimal text in time quadratic in its
+    digits, and the values have about three times the digits of the base.
+    So only the base is converted.  The indices are b + j.  The target of
+    a representation that represent_multiple made is +-M*b; a hand-built
+    one whose target is not is converted itself.  Each value is its
+    numerator, a small-integer combination of b^3, b^2, b and 1
+    (_SHIFTED_NUMERATORS), divided by the family's divisor, all in decimal
+    arithmetic, whose text `format(value, "f")` gives in linear time.  The
+    values are so computed afresh, and their text is checked as
+    represent_multiple checks the ints: the combination of the Decimals
+    must equal the target.  The context holds every one of these numbers
+    exactly and traps Inexact and Rounded, so a division that leaves a
+    remainder raises `decimal.Inexact`, an ArithmeticError.  A negative
+    base is a domain error, as in platonic_value.
     """
-    import decimal  # as in _decimal_values, which has loaded it already
+    import decimal  # here, so that importing the package does not load it
 
-    context, b, values = _decimal_values(rep.kind, rep.base_index)
+    if rep.base_index < 0:
+        raise ValueError(f"index must be >= 0, got {rep.base_index}")
+    b = decimal.Decimal(rep.base_index)
+    context = decimal.Context(
+        prec=3 * (b.adjusted() + 1) + 12, traps=[decimal.Inexact, decimal.Rounded]
+    )
     indices = [format(context.add(b, j), "f") for j in range(4)]
     modulus = COMBINATION_MODULUS[rep.kind]
     signed = -modulus if rep.target < 0 else modulus
@@ -125,7 +174,14 @@ def _decimal_texts(
     target_text = format(target, "f")
     if not with_values:
         return indices, target_text, None
-    values = list(values)
+    b2 = context.multiply(b, b)
+    powers = (1, b, b2, context.multiply(b2, b))
+    divisor = _CLOSED_FORMS[rep.kind][1]
+    numerators = (
+        reduce(context.add, map(context.multiply, shifted, powers))
+        for shifted in _SHIFTED_NUMERATORS[rep.kind]
+    )
+    values = [context.divide(numerator, divisor) for numerator in numerators]
     total = reduce(context.add, map(context.multiply, rep.coefficients, values))
     if total != target:
         raise ArithmeticError(
@@ -167,8 +223,8 @@ def represent_multiple(kind: PlatonicKind, target: int) -> Representation:
     value = evaluate_representation(rep)
     if value != target:
         raise ArithmeticError(
-            f"combination for {kind.value} evaluated to {value}, "
-            f"expected {target}"
+            f"combination for {kind.value} evaluated to {_decimal_text(value)}, "
+            f"expected {_decimal_text(target)}"
         )
     return rep
 

@@ -25,6 +25,7 @@ from platonics import (
     cli,
     evaluate_representation,
     identities,
+    platonic_value,
     pollock,
     representations,
     sequences,
@@ -586,6 +587,28 @@ def test_wrong_combination_coefficients_exit_4(monkeypatch, capsys):
     assert err.startswith("error: combination for tetrahedral evaluated to ")
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_wrong_combination_past_the_digit_limit_exit_4(sign, monkeypatch, capsys):
+    # The identity check's error quotes the combination's value, of about
+    # 30,000 digits here, and the target as decimal text, which no int/str
+    # digit limit refuses, so the failure still exits 4 and not 2.
+    coefficients = representations.COMBINATION_COEFFICIENTS
+    monkeypatch.setitem(coefficients, PlatonicKind.TETRAHEDRAL, (3, -8, 7, -1))
+    nines = "9" * REPRESENT_MAX_DIGITS
+    with int_text_limit_at(4300):
+        code, out, err = run_cli(["represent", "tetrahedral", sign + nines], capsys)
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    # off by the last value, whose coefficient is one short of -2
+    with int_text_limit_at(0):
+        base = int(nines)
+        value = base + platonic_value(PlatonicKind.TETRAHEDRAL, base + 3)
+        value_text = sign + str(value)
+    assert err == (
+        f"error: combination for tetrahedral evaluated to {value_text}, "
+        f"expected {sign}{nines}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "shift, message",
     [
@@ -599,10 +622,10 @@ def test_wrong_decimal_values_exit_4(shift, message, monkeypatch, capsys):
     # a wrong entry there must not reach the output.  Off by 6, the first
     # tetrahedral value is off by one and the combination by 3; off by 1,
     # the division by 6 is inexact.
-    shifted = sequences._SHIFTED_NUMERATORS[PlatonicKind.TETRAHEDRAL]
+    shifted = representations._SHIFTED_NUMERATORS[PlatonicKind.TETRAHEDRAL]
     (a0, *rest), *later = shifted
     monkeypatch.setitem(
-        sequences._SHIFTED_NUMERATORS,
+        representations._SHIFTED_NUMERATORS,
         PlatonicKind.TETRAHEDRAL,
         ((a0 + shift, *rest), *later),
     )

@@ -13,6 +13,7 @@ from platonics import (
     expected_difference,
     identity_residual,
     platonic_value,
+    sequences,
 )
 from platonics.identities import _identity_checks
 
@@ -53,25 +54,47 @@ def test_identities_hold_over_range(kind, order):
 @settings(max_examples=100, deadline=None)
 @given(
     kind=st.sampled_from(list(PlatonicKind)),
-    order=st.integers(min_value=1, max_value=4),
     lo=st.integers(min_value=1, max_value=10**6),
     width=st.integers(min_value=0, max_value=60),
 )
-def test_identity_checks_match_binomial_sums(kind, order, lo, width):
+def test_identity_checks_match_binomial_sums(kind, lo, width):
     # Independent oracle: the order-k forward difference at n is
     # sum_j (-1)**(k-j) * C(k, j) * f(n+j), with no differencing code shared.
+    # One call covers every order, order-major.
     hi = lo + width
-    checks = list(_identity_checks(kind, order, lo, hi))
-    assert [c.index for c in checks] == list(range(lo, hi + 1))
+    checks = list(_identity_checks(kind, lo, hi))
+    indices = list(range(lo, hi + 1))
+    assert [(c.order, c.index) for c in checks] == [
+        (order, n) for order in range(1, 5) for n in indices
+    ]
     for check in checks:
-        n = check.index
+        n, order = check.index, check.order
         oracle = sum(
             (-1) ** (order - j) * comb(order, j) * platonic_value(kind, n + j)
             for j in range(order + 1)
         )
-        assert (check.kind, check.order) == (kind, order)
+        assert check.kind == kind
         assert check.actual == oracle
         assert check.holds
+
+
+@pytest.mark.parametrize("kind", list(PlatonicKind))
+def test_identity_checks_compute_each_value_once(kind, monkeypatch):
+    # All four orders share one window of hi - lo + 5 values: order 4 at hi
+    # reads the value at hi + 4.
+    calls = 0
+    real = sequences.platonic_value
+
+    def counting(kind, n):
+        nonlocal calls
+        calls += 1
+        return real(kind, n)
+
+    monkeypatch.setattr(sequences, "platonic_value", counting)
+    for lo, hi in [(1, 1), (1, 50), (999_990, 10**6)]:
+        calls = 0
+        assert len(list(_identity_checks(kind, lo, hi))) == 4 * (hi - lo + 1)
+        assert calls == hi - lo + 5
 
 
 def test_third_order_constants():

@@ -91,7 +91,7 @@ def test_empirical_matches_naive_oracle(kind):
 @example(kind=PlatonicKind.CUBE, d=81)
 @example(kind=PlatonicKind.CUBE, d=243)
 @example(kind=PlatonicKind.CUBE, d=486)
-def test_four_residue_certificate_matches_full_window(kind, d):
+def test_three_residue_certificate_matches_full_window(kind, d):
     assert empirical_period(kind, d) == naive_min_period(kind, d)
 
 
@@ -99,7 +99,8 @@ def test_detector_strips_each_prime_down_to_the_minimum(monkeypatch):
     # No platonic family needs a prime stripped twice, so a stand-in
     # sequence of minimal period 6 under a claimed period of 2**3 * 3**3 * 5
     # checks that 2 and 3 go twice each and 5 once.  It agrees with the
-    # cubes at n = 1..4 and its values stay distinct mod 1000.  The detector
+    # cubes at n = 1..6, so also at the three first numerators the detector
+    # holds, and its values stay distinct mod 1000.  The detector
     # reads the cubes' closed-form numerator, so the stand-in goes there.
     numerator, divisor = sequences._CLOSED_FORMS[PlatonicKind.CUBE]
     monkeypatch.setattr(periodicity, "closed_form_period", lambda kind, d: 1080)
@@ -160,11 +161,13 @@ def test_prime_factors_match_trial_division(n):
 
 
 def test_period_range_value_calls_stay_bounded(monkeypatch, tmp_path):
-    # Each shift costs at most four residues, each one closed-form
+    # Each shift costs at most three residues, each one closed-form
     # numerator, and the detector tests at most one shift more than the
-    # closed form has prime factors, counted with multiplicity: 5,985
-    # residues for this command.  Testing every divisor cost 13,846, and a
-    # window of two closed-form periods per modulus would cost 328,118.
+    # closed form has prime factors, counted with multiplicity: 4,968
+    # residues for this command (the bound was set when four residues a
+    # shift cost 5,985).  Testing the divisors in ascending order up to the
+    # first that repeats would cost 8,871, and a window of two closed-form
+    # periods per modulus 328,118.
     calls = 0
 
     def counting(numerator):

@@ -20,6 +20,8 @@ from platonics import (
     platonic_value,
     represent_multiple,
     represent_tetrahedral,
+    representations,
+    sequences,
 )
 
 
@@ -156,6 +158,32 @@ def test_json_dict_checks_hand_built_representations():
         rep.to_json_dict()
 
 
+@pytest.mark.parametrize("kind", list(PlatonicKind))
+def test_shifted_numerators_match_the_closed_forms(kind):
+    # The coefficients that the decimal rendering of values uses, for the
+    # numerator at index n + j as a cubic in n, checked against the closed
+    # form's numerator itself, negative n included.
+    numerator, _ = sequences._CLOSED_FORMS[kind]
+    for j, coefficients in enumerate(representations._SHIFTED_NUMERATORS[kind]):
+        for n in range(-5, 21):
+            assert sum(c * n**k for k, c in enumerate(coefficients)) == numerator(n + j)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_not_divisible_text_past_the_digit_limit(sign):
+    # A 5,000-digit target that is 1 mod 6, under the default limit of
+    # 4,300 digits: the error quotes it as decimal text, which no int/str
+    # digit limit refuses, and keeps its sign.
+    target = sign * (10**4999 + 3)
+    text = ("-" if sign < 0 else "") + "1" + "0" * 4998 + "3"
+    with int_text_limit_at(4300), pytest.raises(NotDivisibleError) as info:
+        represent_multiple(PlatonicKind.CUBE, target)
+    assert (info.value.target, info.value.modulus) == (target, 6)
+    assert str(info.value) == (
+        f"{text} is not divisible by 6, the modulus of the four-term cube combination"
+    )
+
+
 def test_round_trip_contract_examples():
     assert evaluate_representation(represent_tetrahedral(42)) == 42
     assert evaluate_representation(
@@ -198,22 +226,24 @@ def test_largest_allowed_target_round_trips(kind):
 
 
 @contextmanager
-def int_text_unlimited():
-    """Lift the interpreter's int/str digit limit, so that `str` of the
-    values can serve as the oracle of their decimal text."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+def int_text_limit_at(limit):
+    """Run the body with the int/str digit limit at `limit` (0: none, so
+    that `str` of the values can serve as the oracle of their decimal
+    text), on interpreters that have one."""
+    settable = hasattr(sys, "set_int_max_str_digits")
+    saved = sys.get_int_max_str_digits() if settable else 0
+    if settable:
+        sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        if settable:
+            sys.set_int_max_str_digits(saved)
 
 
 def assert_values_text_is_str(kind, target):
     rep = represent_multiple(kind, target)
-    with int_text_unlimited():
+    with int_text_limit_at(0):
         assert rep.to_json_dict()["values"] == [str(v) for v in rep.values]
 
 

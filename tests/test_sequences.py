@@ -15,7 +15,6 @@ from platonics import (
     forward_difference,
     platonic_value,
     platonic_values_by_recurrence,
-    sequences,
 )
 
 FIRST_TEN = {
@@ -174,14 +173,3 @@ def test_large_index_exact():
     # rounded value
     with pytest.raises(ArithmeticError, match="7 is not divisible by 2"):
         exact_div(7, 2)
-
-
-@pytest.mark.parametrize("kind", list(PlatonicKind))
-def test_shifted_numerators_match_the_closed_forms(kind):
-    # The coefficients that the decimal rendering of values uses, for the
-    # numerator at index n + j as a cubic in n, checked against the closed
-    # form's numerator itself, negative n included.
-    numerator, _ = sequences._CLOSED_FORMS[kind]
-    for j, coefficients in enumerate(sequences._SHIFTED_NUMERATORS[kind]):
-        for n in range(-5, 21):
-            assert sum(c * n**k for k, c in enumerate(coefficients)) == numerator(n + j)
