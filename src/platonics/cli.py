@@ -7,11 +7,13 @@ it to `_write`, the one function that writes command output: it writes each
 piece of text to stdout or `--out` as the piece is produced.  `pollock`
 produces its witness text one block of lines at a time, so each block is
 written as soon as its witnesses are recovered; the other commands hand
-over one string.  `_records_text` formats records, dicts that share one key
-order: `json` gives one object per record and line, `csv` the keys as a
-header and then one row per record, and `table` the same rows aligned.  A
-cell reads `true`/`false` for a bool, its items joined by `;` for a list,
-and `str` of anything else.  Exit codes: 0 success, 2 usage or domain error
+over one string.  `_columns_text` formats named columns of cell text:
+`json` gives one object per row and line, `csv` the names as a header and
+then one row per line, and `table` the same rows aligned.  Each command
+picks its cells' text, one map per column: `str` of an int, `true`/`false`
+for a bool, and a list's items joined by `;`; it names the columns whose
+cells json quotes as strings, and json writes the other cells as they
+are.  Exit codes: 0 success, 2 usage or domain error
 (an unwritable `--out` included), 3 divisibility violation, 4 internal
 consistency failure (any `RuntimeError`), 5 scan found an integer with no
 decomposition inside the term budget.
@@ -25,12 +27,13 @@ import json
 import os
 import sys
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from itertools import chain, repeat
-from operator import mod
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, mod
 
-from .identities import IdentityCheck, _identity_checks
-from .periodicity import PeriodReport, check_period_range
+from .identities import _identity_checks
+from .periodicity import check_period_range
 from .pollock import ScanReport, _gather, _scan, _WitnessBlock, _witnesses
 from .representations import (
     REPRESENT_MAX_DIGITS,
@@ -55,9 +58,11 @@ EXIT_COUNTEREXAMPLE = 5
 
 FORMATS = ("table", "json", "csv")
 KIND_NAMES = tuple(kind.value for kind in PlatonicKind)
+_BOOL_TEXT = {True: "true", False: "false"}
 
-#: Largest index `verify-identities` checks; `verify-identities all
-#: 1..10000` takes 0.9 to 1.3 s and 81 to 177 MB, by format (BENCH_30.json).
+#: Largest index `verify-identities` checks; its time and peak at this
+#: ceiling are measured by the `verify-identities` lines of
+#: `tools/bench_cli.py --set arith-ceilings`.
 IDENTITY_MAX_INDEX = 10_000
 
 
@@ -83,33 +88,44 @@ def _parse_target(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _align(rows: list[list[str]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = [
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    ]
-    return "\n".join(lines) + "\n"
+def _columns_text(
+    fmt: str, columns: dict[str, Iterable[str]], quoted: Collection[str] = ()
+) -> str:
+    """json lines, or csv or table text headed by the column names, from
+    named columns of cell text of one length.
 
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return ";".join(_cell(item) for item in value)
-    return str(value)
-
-
-def _records_text(fmt: str, records: Iterable[dict]) -> str:
-    """json lines, or csv or table text headed by the first record's keys."""
+    json writes each record from one `%` template of the names, quoting
+    the cells of the `quoted` columns as `json.dumps` quotes a str and
+    writing the others as they are.  csv and table write every cell as it
+    is.  json and csv read the columns once, as they go; a table holds
+    each column's cells to find its width, the header's included.
+    """
     if fmt == "json":
-        return "".join(json.dumps(record) + "\n" for record in records)
-    records = iter(records)
-    first = next(records)
-    rows = ([_cell(value) for value in r.values()] for r in chain([first], records))
+        keys = (encode_basestring_ascii(name).replace("%", "%%") for name in columns)
+        template = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
+        cells = [
+            map(encode_basestring_ascii, column) if name in quoted else column
+            for name, column in columns.items()
+        ]
+        return "".join(map(template.__mod__, zip(*cells)))
     if fmt == "csv":
-        return "".join(",".join(row) + "\n" for row in chain([list(first)], rows))
-    return _align([list(first), *rows])
+        rows = map(",".join, zip(*columns.values()))
+        return "\n".join(chain([",".join(columns)], rows)) + "\n"
+    cells = [[name, *column] for name, column in columns.items()]
+    template = "  ".join(f"%-{max(map(len, column))}s" for column in cells)
+    return "\n".join(map(str.rstrip, map(template.__mod__, zip(*cells)))) + "\n"
+
+
+def _kind_cells(kinds: list[PlatonicKind], count: int) -> Iterator[str]:
+    """The kind column of `count` records that take the kinds in turn, an
+    equal run of records each."""
+    run = count // len(kinds)
+    return chain.from_iterable(repeat(kind.value, run) for kind in kinds)
+
+
+def _field_cells(records: list, name: str, text: Callable = str) -> Iterator[str]:
+    """The text of one attribute of every record."""
+    return map(text, map(attrgetter(name), records))
 
 
 def _write(args: argparse.Namespace, pieces: Iterable[str]) -> None:
@@ -152,8 +168,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif args.format == "table":
         text = ", ".join(str(v) for v in values) + "\n"
     else:
-        records = ({"n": n, "value": v} for n, v in enumerate(values, lo))
-        text = _records_text(args.format, records)
+        columns = {"n": map(str, range(lo, hi + 1)), "value": map(str, values)}
+        text = _columns_text(args.format, columns)
     _write(args, [text])
     return EXIT_OK
 
@@ -161,15 +177,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- difftable
 
 
-def _difference_records(table: DifferenceTable) -> Iterator[dict]:
-    """One `n, value, d1..d4` record per index; cells past the end of a
-    shorter difference column are empty."""
-    for i, value in enumerate(table.orders[0]):
-        record = {"n": i + 1, "value": value}
-        for order in range(1, 5):
-            column = table.orders[order]
-            record[f"d{order}"] = column[i] if i < len(column) else ""
-        yield record
+def _difference_cells(table: DifferenceTable) -> dict[str, Iterator[str]]:
+    """The `n, value, d1..d4` columns of a table, one row per index; cells
+    past the end of a shorter difference column are empty."""
+    cells = {"n": map(str, range(1, table.rows + 1))}
+    cells["value"] = map(str, table.orders[0])
+    for order in range(1, 5):
+        column = table.orders[order]
+        padding = repeat("", table.rows - len(column))
+        cells[f"d{order}"] = chain(map(str, column), padding)
+    return cells
 
 
 def _orders_text(table: DifferenceTable) -> list[list[str]]:
@@ -182,7 +199,7 @@ def _cmd_difftable(args: argparse.Namespace) -> int:
         payload = {"kind": args.kind, "rows": args.rows, "orders": _orders_text(table)}
         text = json.dumps(payload) + "\n"
     else:
-        text = _records_text(args.format, _difference_records(table))
+        text = _columns_text(args.format, _difference_cells(table))
     _write(args, [text])
     return EXIT_OK
 
@@ -195,7 +212,7 @@ def _cmd_represent(args: argparse.Namespace) -> int:
     `_decimal_texts`, so that no int above the coefficients is converted to
     text; the table has no values, so they are not computed for it.  json
     and csv give `to_json_dict`'s keys in its order: json from one
-    template, csv by `_records_text` over one record of the texts."""
+    template, csv by `_columns_text` over one row of the texts."""
     rep = represent_multiple(PlatonicKind(args.kind), args.target)
     indices, target, values = _decimal_texts(rep, args.format != "table")
     kind, coefficients = rep.kind.value, rep.coefficients
@@ -217,15 +234,15 @@ def _cmd_represent(args: argparse.Namespace) -> int:
             target,
         )
     else:
-        record = {
+        row = {
             "kind": kind,
             "base_index": indices[0],
-            "coefficients": list(coefficients),
-            "indices": indices,
-            "values": values,
+            "coefficients": ";".join(map(str, coefficients)),
+            "indices": ";".join(indices),
+            "values": ";".join(values),
             "target": target,
         }
-        text = _records_text(args.format, [record])
+        text = _columns_text(args.format, {key: [cell] for key, cell in row.items()})
     _write(args, [text])
     return EXIT_OK
 
@@ -234,23 +251,21 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 
 
 def _cmd_period(args: argparse.Namespace) -> int:
-    reports = check_period_range(_kinds_for(args.kind), *args.range)
-    _write(args, [_records_text(args.format, map(PeriodReport.to_json_dict, reports))])
+    """`PeriodReport.to_json_dict`'s keys, one row per report."""
+    kinds = _kinds_for(args.kind)
+    reports = check_period_range(kinds, *args.range)
+    columns = {
+        "kind": _kind_cells(kinds, len(reports)),
+        "d": _field_cells(reports, "modulus"),
+        "closed_form": _field_cells(reports, "closed_form"),
+        "empirical": _field_cells(reports, "empirical"),
+        "agrees": _field_cells(reports, "agrees", _BOOL_TEXT.__getitem__),
+    }
+    _write(args, [_columns_text(args.format, columns, quoted=["kind"])])
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- verify-identities
-
-
-def _identity_record(check: IdentityCheck) -> dict:
-    return {
-        "kind": check.kind.value,
-        "order": check.order,
-        "n": check.index,
-        "expected": str(check.expected),
-        "actual": str(check.actual),
-        "holds": check.holds,
-    }
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
@@ -261,7 +276,16 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
         raise ValueError(f"index {hi} exceeds the ceiling {IDENTITY_MAX_INDEX}")
     kinds = _kinds_for(args.kind)
     checks = [check for kind in kinds for check in _identity_checks(kind, lo, hi)]
-    _write(args, [_records_text(args.format, map(_identity_record, checks))])
+    columns = {
+        "kind": _kind_cells(kinds, len(checks)),
+        "order": _field_cells(checks, "order"),
+        "n": _field_cells(checks, "index"),
+        "expected": _field_cells(checks, "expected"),
+        "actual": _field_cells(checks, "actual"),
+        "holds": _field_cells(checks, "holds", _BOOL_TEXT.__getitem__),
+    }
+    quoted = ["kind", "expected", "actual"]
+    _write(args, [_columns_text(args.format, columns, quoted)])
     if any(not c.holds for c in checks):
         raise RuntimeError("a difference identity failed to hold")
     return EXIT_OK
@@ -270,13 +294,14 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- pollock
 
 
-def _report_fields(report: ScanReport) -> Iterator[dict]:
-    """The csv records of a report up to its failure count."""
-    fields = [("n", report.n), ("max_terms", report.max_terms)]
-    fields.append(("strict_distinct", report.strict_distinct))
-    fields += [(f"terms_{k}", report.histogram[k]) for k in sorted(report.histogram)]
-    fields.append(("failure_count", len(report.failures)))
-    return ({"field": field, "value": value} for field, value in fields)
+def _report_fields(report: ScanReport) -> dict[str, tuple[str, ...]]:
+    """The csv columns of a report up to its failure count."""
+    fields = [("n", str(report.n)), ("max_terms", str(report.max_terms))]
+    fields.append(("strict_distinct", _BOOL_TEXT[report.strict_distinct]))
+    fields += [(f"terms_{k}", str(c)) for k, c in sorted(report.histogram.items())]
+    fields.append(("failure_count", str(len(report.failures))))
+    names, values = zip(*fields)
+    return {"field": names, "value": values}
 
 
 def _joined(
@@ -368,13 +393,13 @@ def _report_text(fmt: str, report: ScanReport) -> Iterator[str]:
         yield "]}\n"
         return
     if fmt == "csv":
-        yield _records_text(fmt, _report_fields(report))
+        yield _columns_text(fmt, _report_fields(report))
         yield from _joined(blocks, "failure,", "\nfailure,", "\n")
         return
     lines = [
         f"n: {report.n}",
         f"max terms: {report.max_terms}",
-        f"strict distinct: {_cell(report.strict_distinct)}",
+        f"strict distinct: {_BOOL_TEXT[report.strict_distinct]}",
         "histogram:",
     ]
     lines += [f"  {k} terms: {report.histogram[k]}" for k in sorted(report.histogram)]
@@ -413,12 +438,13 @@ def _paper_tables_text(tables: list[DifferenceTable]) -> str:
     for table in tables:
         lines.append("")
         lines.append(f"forward differences: {table.kind.value}")
-        lines.append(_records_text("table", _difference_records(table)).rstrip("\n"))
+        lines.append(_columns_text("table", _difference_cells(table)).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
 def _cmd_paper_tables(args: argparse.Namespace) -> int:
-    tables = [difference_table(kind, 10) for kind in PlatonicKind]
+    kinds = list(PlatonicKind)
+    tables = [difference_table(kind, 10) for kind in kinds]
     if args.format == "json":
         orders = {t.kind.value: _orders_text(t) for t in tables}
         payload = {
@@ -429,12 +455,11 @@ def _cmd_paper_tables(args: argparse.Namespace) -> int:
     elif args.format == "table":
         text = _paper_tables_text(tables)
     else:
-        records = (
-            {"kind": table.kind.value, **record}
-            for table in tables
-            for record in _difference_records(table)
-        )
-        text = _records_text(args.format, records)
+        cells = [_difference_cells(table) for table in tables]
+        columns = {"kind": _kind_cells(kinds, sum(table.rows for table in tables))}
+        for name in cells[0]:
+            columns[name] = chain(*[table_cells[name] for table_cells in cells])
+        text = _columns_text(args.format, columns)
     _write(args, [text])
     return EXIT_OK
 

@@ -116,7 +116,13 @@ _FIRST_NUMERATORS = {
 
 
 def empirical_period(kind: PlatonicKind, d: int) -> int:
-    """Smallest shift under which the residues repeat.
+    """Smallest shift under which the residues repeat."""
+    _require_period_modulus(d)
+    return _minimal_period(kind, d, closed_form_period(kind, d))
+
+
+def _minimal_period(kind: PlatonicKind, d: int, length: int) -> int:
+    """The minimal period mod d, found below the closed-form period `length`.
 
     The periods of a purely periodic sequence are exactly the multiples of
     its minimal one.  So once the closed form L is certified as a period,
@@ -128,8 +134,6 @@ def empirical_period(kind: PlatonicKind, d: int) -> int:
     which holds then for every n since N(n+s) - N(n) is a quadratic in n
     (see the module docstring).
     """
-    _require_period_modulus(d)
-    length = closed_form_period(kind, d)
     numerator, divisor = _CLOSED_FORMS[kind]
     modulus = d * divisor
     first = _FIRST_NUMERATORS[kind]
@@ -154,8 +158,9 @@ def empirical_period(kind: PlatonicKind, d: int) -> int:
 
 def check_period_claim(kind: PlatonicKind, d: int) -> PeriodReport:
     """Cross-check the closed-form period against the observed minimum."""
+    _require_period_modulus(d)
     closed = closed_form_period(kind, d)
-    observed = empirical_period(kind, d)
+    observed = _minimal_period(kind, d, closed)
     return PeriodReport(
         kind=kind,
         modulus=d,

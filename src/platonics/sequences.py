@@ -42,12 +42,13 @@ class PlatonicKind(Enum):
 RECURRENCE_COEFFICIENTS = (4, -6, 4, -1)
 
 #: Most values platonic_values_by_recurrence produces, and so the largest
-#: index `gen` accepts; `gen dodecahedral 1..1000000 --check-recurrence`
-#: takes 1.3 to 3.2 s and 164 to 194 MB, by format (BENCH_14.json).
+#: index `gen` accepts; its time and peak at this ceiling are measured by
+#: the `gen` lines of `tools/bench_cli.py --set arith-ceilings`.
 SEQUENCE_MAX_INDEX = 1_000_000
 
-#: Most rows difference_table builds; `difftable KIND 100000` takes about
-#: 0.6 to 1.6 s and 45 to 100 MB, by format.
+#: Most rows difference_table builds; its time and peak at this ceiling are
+#: measured by the `difftable` lines of `tools/bench_cli.py --set
+#: arith-ceilings`.
 DIFFERENCE_MAX_ROWS = 100_000
 
 # Closed forms as (numerator polynomial, divisor).  The divisor always

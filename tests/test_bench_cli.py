@@ -153,6 +153,9 @@ def test_arith_ceilings_set_runs_every_other_command_at_its_ceiling():
             assert a.range[1] == cli.IDENTITY_MAX_INDEX
         elif a.command == "difftable":
             assert a.rows == DIFFERENCE_MAX_ROWS
+    for command in ("gen", "difftable", "period", "verify-identities"):
+        formats = [a.format for a in lines if a.command == command]
+        assert sorted(formats) == sorted(cli.FORMATS), command
 
 
 def test_a_set_or_a_command_line_is_required(tmp_path):

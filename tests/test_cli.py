@@ -56,6 +56,97 @@ def int_text_limit():
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+# ---------------------------------------------------------------- record oracle
+# The renderer the CLI had before it rendered columns of cell text: records
+# are dicts that share one key order, json is `json.dumps` of each, and csv
+# and table rows take each value's text from its type.
+
+
+def oracle_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(oracle_cell(item) for item in value)
+    return str(value)
+
+
+def oracle_align(rows):
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = [
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_records_text(fmt, records):
+    """json lines, or csv or table text headed by the first record's keys."""
+    if fmt == "json":
+        return "".join(json.dumps(record) + "\n" for record in records)
+    rows = [list(records[0])] + [[oracle_cell(v) for v in r.values()] for r in records]
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in rows)
+    return oracle_align(rows)
+
+
+def int_or_bool_text(value):
+    return cli._BOOL_TEXT[value] if isinstance(value, bool) else str(value)
+
+
+def joined_text(items):
+    return ";".join(map(str, items))
+
+
+#: Characters json escapes or a csv or table line keeps as they are.
+TRICKY = '"\\%, \t\n\x00\x1fé€𝄞'
+
+#: Column names, `%` among their characters.
+COLUMN_NAMES = st.text("a%" + TRICKY, max_size=4)
+
+#: Each shape of column: its cells, the text a command gives a cell, and
+#: whether json quotes the column.  json has no list or "" cells.
+COLUMN_SHAPES = {
+    "int": (st.integers(-(10**30), 10**30), str, False),
+    "bool": (st.booleans(), cli._BOOL_TEXT.__getitem__, False),
+    "str": (st.text(st.sampled_from(TRICKY) | st.characters()), str, True),
+    "mixed": (st.integers(-99, 99) | st.booleans(), int_or_bool_text, False),
+    "list": (st.lists(st.integers(-(10**6), 10**6), max_size=4), joined_text, False),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fmt=st.sampled_from(cli.FORMATS),
+    names=st.lists(COLUMN_NAMES, min_size=1, max_size=6, unique=True),
+    rows=st.integers(1, 6),
+    data=st.data(),
+)
+def test_columns_render_as_the_record_oracle(fmt, names, rows, data):
+    # each column of one shape, its text made by one map over the column as
+    # the commands make it, renders byte for byte as the records of its
+    # cells do; a "" tail pads an int column at its end, as difftable's
+    # shorter difference columns are padded
+    shapes = ["int", "bool", "str", "mixed"]
+    if fmt != "json":
+        shapes += ["list", "tail"]
+    cells, texts, quoted = {}, {}, []
+    for name in names:
+        shape = data.draw(st.sampled_from(shapes), label=repr(name))
+        if shape == "tail":
+            count = data.draw(st.integers(0, rows))
+            values = st.lists(st.integers(-99, 10**9), min_size=count, max_size=count)
+            cells[name] = data.draw(values) + [""] * (rows - count)
+            texts[name] = str
+            continue
+        strategy, texts[name], quotes = COLUMN_SHAPES[shape]
+        cells[name] = data.draw(st.lists(strategy, min_size=rows, max_size=rows))
+        if quotes:
+            quoted.append(name)
+    records = [{name: cells[name][i] for name in names} for i in range(rows)]
+    columns = {name: map(texts[name], cells[name]) for name in names}
+    assert cli._columns_text(fmt, columns, quoted) == oracle_records_text(fmt, records)
+
+
 def test_gen_table(capsys):
     code, out, _ = run_cli(["gen", "tetrahedral", "1..10"], capsys)
     assert code == 0
@@ -240,13 +331,13 @@ def reference_equation_text(rep):
 
 def reference_texts(rep):
     """Each format of `represent` for rep, rendered through `str` of its
-    ints: `json.dumps` and `_records_text` of `to_json_dict`, and the
+    ints: `json.dumps` and the record oracle of `to_json_dict`, and the
     earlier equation text."""
     with int_text_limit_at(0):
         payload = rep.to_json_dict()
         return {
             "json": json.dumps(payload) + "\n",
-            "csv": cli._records_text("csv", [payload]),
+            "csv": oracle_records_text("csv", [payload]),
             "table": reference_equation_text(rep),
         }
 
@@ -459,9 +550,12 @@ def whole_report_text(fmt, report):
         return json.dumps(report.to_json_dict()) + "\n"
     failures = tuple(report.failures)
     if fmt == "csv":
-        rows = list(cli._report_fields(report))
-        rows += [{"field": "failure", "value": m} for m in failures]
-        return cli._records_text("csv", rows)
+        fields = [("n", report.n), ("max_terms", report.max_terms)]
+        fields.append(("strict_distinct", report.strict_distinct))
+        fields += [(f"terms_{k}", count) for k, count in sorted(report.histogram.items())]
+        fields.append(("failure_count", len(failures)))
+        fields += [("failure", m) for m in failures]
+        return oracle_records_text("csv", [{"field": f, "value": v} for f, v in fields])
     text = "".join(cli._report_text("table", report))
     if failures:
         head = text[: text.index("failures (")]

@@ -249,6 +249,20 @@ def test_check_period_claim_examples():
     assert (report.closed_form, report.empirical, report.agrees) == (2, 2, True)
 
 
+def test_check_period_claim_computes_the_closed_form_once(monkeypatch):
+    # the detector starts from the closed form the report already holds
+    calls = []
+
+    def counted(kind, d):
+        calls.append((kind, d))
+        return closed_form_period(kind, d)
+
+    monkeypatch.setattr(periodicity, "closed_form_period", counted)
+    report = check_period_claim(PlatonicKind.CUBE, 9)
+    assert (report.closed_form, report.empirical) == (9, 3)
+    assert calls == [(PlatonicKind.CUBE, 9)]
+
+
 def test_cube_disagrees_at_multiples_of_nine():
     # the closed form d is a period of the cubes mod d but not minimal when
     # 9 | d: shifting by d/3 already repeats

@@ -71,10 +71,10 @@ SCHEMA = "bench_cli/1"
 #: strict stream.  `arith-ceilings` is every other command at its ceiling:
 #: `represent` of the 10,000-digit tetrahedral target -(10**10000 - 1),
 #: whose second index has 10,001 digits, in every format and of the
-#: 4,400-digit dodecahedral target 8181...81 in json, `period` over the last
-#: 10,000 moduli up to 10**6, `verify-identities` at its largest index in
-#: every format, and `gen` and `difftable` at their largest index or row
-#: count.
+#: 4,400-digit dodecahedral target 8181...81 in json, and `period` over the
+#: last 10,000 moduli up to 10**6, `verify-identities` at its largest index,
+#: and `gen` and `difftable` at their largest index or row count, each in
+#: every format.
 SETS = {
     "report-ceilings": [
         "pollock 100000000",
@@ -97,11 +97,16 @@ SETS = {
         f"represent dodecahedral {'81' * 2_200} --format json",
         "period all 990001..1000000 --format json",
         "period all 990001..1000000 --format csv",
+        "period all 990001..1000000 --format table",
         "gen dodecahedral 1..1000000 --check-recurrence --format json",
+        "gen dodecahedral 1..1000000 --check-recurrence --format table",
+        "gen dodecahedral 1..1000000 --check-recurrence --format csv",
         "verify-identities all 1..10000 --format table",
         "verify-identities all 1..10000 --format json",
         "verify-identities all 1..10000 --format csv",
         "difftable dodecahedral 100000 --format json",
+        "difftable dodecahedral 100000 --format table",
+        "difftable dodecahedral 100000 --format csv",
     ],
 }
 
