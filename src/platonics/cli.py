@@ -13,10 +13,15 @@ then one row per line, and `table` the same rows aligned.  Each command
 picks its cells' text, one map per column: `str` of an int, `true`/`false`
 for a bool, and a list's items joined by `;`; it names the columns whose
 cells json quotes as strings, and json writes the other cells as they
-are.  Exit codes: 0 success, 2 usage or domain error
-(an unwritable `--out` included), 3 divisibility violation, 4 internal
-consistency failure (any `RuntimeError`), 5 scan found an integer with no
-decomposition inside the term budget.
+are.  `period` and `verify-identities` read their columns as lists of ints
+from the column producers `periodicity._period_columns` and
+`identities._identity_columns`, one call per kind, and make no object per
+record: `agrees` and `holds` are `eq` mapped over two of those columns, and
+the kind, order, d and n columns repeat text made once.  Exit codes: 0
+success, 2 usage or domain error (an unwritable `--out` included), 3
+divisibility violation, 4 internal consistency failure (any
+`RuntimeError`), 5 scan found an integer with no decomposition inside the
+term budget.
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ import json
 import os
 import sys
 from bisect import bisect_left
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, mod
+from operator import eq, mod
 
-from .identities import _identity_checks
-from .periodicity import check_period_range
+from .identities import _identity_columns
+from .periodicity import _period_columns, _require_period_range
 from .pollock import ScanReport, _gather, _scan, _WitnessBlock, _witnesses
 from .representations import (
     REPRESENT_MAX_DIGITS,
@@ -116,16 +121,16 @@ def _columns_text(
     return "\n".join(map(str.rstrip, map(template.__mod__, zip(*cells)))) + "\n"
 
 
-def _kind_cells(kinds: list[PlatonicKind], count: int) -> Iterator[str]:
-    """The kind column of `count` records that take the kinds in turn, an
-    equal run of records each."""
-    run = count // len(kinds)
-    return chain.from_iterable(repeat(kind.value, run) for kind in kinds)
+def _run_cells(items: list, count: int) -> Iterator[str]:
+    """The column of `count` records that take the items in turn, an equal
+    run of records each: each item's `str`, repeated over its run."""
+    run = count // len(items)
+    return chain.from_iterable(repeat(str(item), run) for item in items)
 
 
-def _field_cells(records: list, name: str, text: Callable = str) -> Iterator[str]:
-    """The text of one attribute of every record."""
-    return map(text, map(attrgetter(name), records))
+def _joined_columns(parts: Iterable[tuple[list, ...]]) -> Iterator[list]:
+    """Each column of the parts, the parts' lists of it joined in order."""
+    return (list(chain.from_iterable(column)) for column in zip(*parts))
 
 
 def _write(args: argparse.Namespace, pieces: Iterable[str]) -> None:
@@ -251,15 +256,19 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 
 
 def _cmd_period(args: argparse.Namespace) -> int:
-    """`PeriodReport.to_json_dict`'s keys, one row per report."""
+    """`PeriodReport.to_json_dict`'s keys, one row per claim, from each
+    kind's columns of closed-form and minimal periods."""
+    lo, hi = args.range
+    _require_period_range(lo, hi)
     kinds = _kinds_for(args.kind)
-    reports = check_period_range(kinds, *args.range)
+    closed, empirical = _joined_columns(_period_columns(k, lo, hi) for k in kinds)
+    moduli = list(map(str, range(lo, hi + 1)))
     columns = {
-        "kind": _kind_cells(kinds, len(reports)),
-        "d": _field_cells(reports, "modulus"),
-        "closed_form": _field_cells(reports, "closed_form"),
-        "empirical": _field_cells(reports, "empirical"),
-        "agrees": _field_cells(reports, "agrees", _BOOL_TEXT.__getitem__),
+        "kind": _run_cells(kinds, len(closed)),
+        "d": chain.from_iterable(repeat(moduli, len(kinds))),
+        "closed_form": map(str, closed),
+        "empirical": map(str, empirical),
+        "agrees": map(_BOOL_TEXT.__getitem__, map(eq, empirical, closed)),
     }
     _write(args, [_columns_text(args.format, columns, quoted=["kind"])])
     return EXIT_OK
@@ -269,24 +278,29 @@ def _cmd_period(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
+    """One row per kind, order and index, order-major within a kind, from
+    each kind's expected and actual column of every order."""
     lo, hi = args.range
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got {lo}..{hi}")
     if hi > IDENTITY_MAX_INDEX:
         raise ValueError(f"index {hi} exceeds the ceiling {IDENTITY_MAX_INDEX}")
     kinds = _kinds_for(args.kind)
-    checks = [check for kind in kinds for check in _identity_checks(kind, lo, hi)]
+    pairs = [pair for kind in kinds for pair in _identity_columns(kind, lo, hi)]
+    expected, actual = _joined_columns(pairs)
+    holds = list(map(eq, expected, actual))
+    indices = list(map(str, range(lo, hi + 1)))
     columns = {
-        "kind": _kind_cells(kinds, len(checks)),
-        "order": _field_cells(checks, "order"),
-        "n": _field_cells(checks, "index"),
-        "expected": _field_cells(checks, "expected"),
-        "actual": _field_cells(checks, "actual"),
-        "holds": _field_cells(checks, "holds", _BOOL_TEXT.__getitem__),
+        "kind": _run_cells(kinds, len(holds)),
+        "order": _run_cells([1, 2, 3, 4] * len(kinds), len(holds)),
+        "n": chain.from_iterable(repeat(indices, len(pairs))),
+        "expected": map(str, expected),
+        "actual": map(str, actual),
+        "holds": map(_BOOL_TEXT.__getitem__, holds),
     }
     quoted = ["kind", "expected", "actual"]
     _write(args, [_columns_text(args.format, columns, quoted)])
-    if any(not c.holds for c in checks):
+    if not all(holds):
         raise RuntimeError("a difference identity failed to hold")
     return EXIT_OK
 
@@ -456,7 +470,7 @@ def _cmd_paper_tables(args: argparse.Namespace) -> int:
         text = _paper_tables_text(tables)
     else:
         cells = [_difference_cells(table) for table in tables]
-        columns = {"kind": _kind_cells(kinds, sum(table.rows for table in tables))}
+        columns = {"kind": _run_cells(kinds, sum(table.rows for table in tables))}
         for name in cells[0]:
             columns[name] = chain(*[table_cells[name] for table_cells in cells])
         text = _columns_text(args.format, columns)

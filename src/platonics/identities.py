@@ -4,14 +4,19 @@ For each family the order-1 and order-2 differences are quadratic and
 linear polynomials in the index, the order-3 difference is a constant, and
 the order-4 difference vanishes.  `identity_residual` evaluates both sides
 of the matching identity so a disagreement is diagnosable, not just
-detectable.  A run of indices shares one window of values and one pass of
-differencing per order for all four orders, so each value is computed once
-per family and run, not once per index or order.
+detectable.
+
+One column producer, `_identity_columns`, gives a run of indices two lists
+of ints per order: the closed form mapped over the run, and the
+differences of one window of its values.  One pass of differencing per
+order serves all four orders, so each value is computed once per family
+and run, not once per index or order, and no object is made per index.
+`verify-identities` renders the columns as they are; `identity_residual`
+makes its `IdentityCheck` from the columns of a one-index run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .sequences import PlatonicKind, _difference_columns, exact_div
@@ -70,30 +75,38 @@ def expected_difference(kind: PlatonicKind, order: int, n: int) -> int:
     raise ValueError(f"order must be in 1..4, got {order}")
 
 
-def _identity_checks(kind: PlatonicKind, lo: int, hi: int) -> Iterator[IdentityCheck]:
-    """`identity_residual` at every order 1..4 and every n in [lo, hi],
-    order-major, from one window of hi - lo + 5 values."""
+def _identity_columns(
+    kind: PlatonicKind, lo: int, hi: int
+) -> list[tuple[list[int], list[int]]]:
+    """The expected and the actual column of each order 1..4, one entry per
+    index n in [lo, hi].
+
+    The actual columns are the differences of one window of hi - lo + 5
+    values, cut to the range; the expected ones map each order's closed
+    form over it.
+    """
     if lo < 1:
         raise ValueError(f"index must be >= 1, got {lo}")
-    columns = _difference_columns(kind, lo, hi - lo + 5)
-    for order in range(1, 5):
-        for n, actual in zip(range(lo, hi + 1), columns[order]):
-            expected = expected_difference(kind, order, n)
-            yield IdentityCheck(
-                kind=kind,
-                order=order,
-                index=n,
-                expected=expected,
-                actual=actual,
-                holds=expected == actual,
-            )
+    count = hi - lo + 1
+    indices = range(lo, hi + 1)
+    expected = [
+        list(map(_FIRST_DIFFERENCE_RHS[kind], indices)),
+        list(map(_SECOND_DIFFERENCE_RHS[kind], indices)),
+        [THIRD_DIFFERENCE_CONSTANTS[kind]] * count,
+        [0] * count,
+    ]
+    actual = _difference_columns(kind, lo, count + 4)[1:]
+    return [
+        (column, differences[:count]) for column, differences in zip(expected, actual)
+    ]
 
 
 def identity_residual(kind: PlatonicKind, order: int, n: int) -> IdentityCheck:
     """Evaluate one identity: closed form vs. raw-value differences."""
     if not 1 <= order <= 4:
         raise ValueError(f"order must be in 1..4, got {order}")
-    return tuple(_identity_checks(kind, n, n))[order - 1]
+    (expected,), (actual,) = _identity_columns(kind, n, n)[order - 1]
+    return IdentityCheck(kind, order, n, expected, actual, expected == actual)
 
 
 def combined_residual_tetrahedral(n: int) -> int:

@@ -18,6 +18,12 @@ mod d exactly when those three differences vanish.  The numerators are the
 exact closed forms, not the case split, so the check stays independent of
 the claim it tests.
 
+One column producer, `_period_columns`, gives a family's closed-form and
+minimal periods over a run of moduli, as two lists of ints.  `period`
+renders them as they are; `check_period_claim` and `check_period_range`
+make their `PeriodReport`s from them, and `empirical_period` reads its one
+entry, so every route runs the same detector.
+
 A report where the two periods disagree is a legitimate finding, not an
 error; an error is raised only if the closed form fails to be a period at
 all, which would contradict the congruence argument behind it.
@@ -27,6 +33,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq
 
 from .sequences import _CLOSED_FORMS, PlatonicKind
 
@@ -69,6 +77,16 @@ def _require_period_modulus(d: int) -> None:
     _require_modulus(d)
     if d > PERIOD_MAX_MODULUS:
         raise ValueError(f"modulus {d} is above the ceiling {PERIOD_MAX_MODULUS}")
+
+
+def _require_period_range(lo: int, hi: int) -> None:
+    if not 2 <= lo <= hi:
+        raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
+    if hi - lo >= PERIOD_MAX_MODULI:
+        raise ValueError(
+            f"{hi - lo + 1} moduli is above the ceiling of {PERIOD_MAX_MODULI}"
+        )
+    _require_period_modulus(hi)
 
 
 def closed_form_period(kind: PlatonicKind, d: int) -> int:
@@ -118,11 +136,14 @@ _FIRST_NUMERATORS = {
 def empirical_period(kind: PlatonicKind, d: int) -> int:
     """Smallest shift under which the residues repeat."""
     _require_period_modulus(d)
-    return _minimal_period(kind, d, closed_form_period(kind, d))
+    return _period_columns(kind, d, d)[1][0]
 
 
-def _minimal_period(kind: PlatonicKind, d: int, length: int) -> int:
-    """The minimal period mod d, found below the closed-form period `length`.
+def _period_columns(
+    kind: PlatonicKind, lo: int, hi: int
+) -> tuple[list[int], list[int]]:
+    """The closed-form and the minimal periods of one family, one entry per
+    modulus d in [lo, hi].
 
     The periods of a purely periodic sequence are exactly the multiples of
     its minimal one.  So once the closed form L is certified as a period,
@@ -135,50 +156,49 @@ def _minimal_period(kind: PlatonicKind, d: int, length: int) -> int:
     (see the module docstring).
     """
     numerator, divisor = _CLOSED_FORMS[kind]
-    modulus = d * divisor
-    first = _FIRST_NUMERATORS[kind]
+    first_1, first_2, first_3 = _FIRST_NUMERATORS[kind]
 
-    def repeats(shift: int) -> bool:
-        for n, value in enumerate(first, 1):
-            if (numerator(n + shift) - value) % modulus:
-                return False
-        return True
-
-    if not repeats(length):
-        raise PeriodConsistencyError(
-            f"no divisor of {length} is a period of {kind.value} mod {d}; "
-            f"the closed-form period claim is violated"
+    def repeats(shift: int, modulus: int) -> bool:
+        return not (
+            (numerator(1 + shift) - first_1) % modulus
+            or (numerator(2 + shift) - first_2) % modulus
+            or (numerator(3 + shift) - first_3) % modulus
         )
-    period = length
-    for p in _prime_factors(length):
-        while period % p == 0 and repeats(period // p):
-            period //= p
-    return period
+
+    moduli = range(lo, hi + 1)
+    closed = [closed_form_period(kind, d) for d in moduli]
+    minimal = []
+    for d, length in zip(moduli, closed):
+        modulus = d * divisor
+        if not repeats(length, modulus):
+            raise PeriodConsistencyError(
+                f"no divisor of {length} is a period of {kind.value} mod {d}; "
+                f"the closed-form period claim is violated"
+            )
+        period = length
+        for p in _prime_factors(length):
+            while period % p == 0 and repeats(period // p, modulus):
+                period //= p
+        minimal.append(period)
+    return closed, minimal
 
 
 def check_period_claim(kind: PlatonicKind, d: int) -> PeriodReport:
     """Cross-check the closed-form period against the observed minimum."""
     _require_period_modulus(d)
-    closed = closed_form_period(kind, d)
-    observed = _minimal_period(kind, d, closed)
-    return PeriodReport(
-        kind=kind,
-        modulus=d,
-        closed_form=closed,
-        empirical=observed,
-        agrees=observed == closed,
-    )
+    (closed,), (observed,) = _period_columns(kind, d, d)
+    return PeriodReport(kind, d, closed, observed, observed == closed)
 
 
 def check_period_range(
     kinds: Iterable[PlatonicKind], lo: int, hi: int
 ) -> list[PeriodReport]:
     """`check_period_claim` for every kind and every d in [lo, hi], kind-major."""
-    if not 2 <= lo <= hi:
-        raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
-    if hi - lo >= PERIOD_MAX_MODULI:
-        raise ValueError(
-            f"{hi - lo + 1} moduli is above the ceiling of {PERIOD_MAX_MODULI}"
-        )
-    _require_period_modulus(hi)
-    return [check_period_claim(kind, d) for kind in kinds for d in range(lo, hi + 1)]
+    _require_period_range(lo, hi)
+    moduli = range(lo, hi + 1)
+    reports = []
+    for kind in kinds:
+        closed, minimal = _period_columns(kind, lo, hi)
+        agrees = map(eq, minimal, closed)
+        reports += map(PeriodReport, repeat(kind), moduli, closed, minimal, agrees)
+    return reports

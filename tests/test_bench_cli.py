@@ -9,10 +9,12 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+import platonics
 from platonics import (
     DIFFERENCE_MAX_ROWS,
     PERIOD_MAX_MODULI,
@@ -156,6 +158,34 @@ def test_arith_ceilings_set_runs_every_other_command_at_its_ceiling():
     for command in ("gen", "difftable", "period", "verify-identities"):
         formats = [a.format for a in lines if a.command == command]
         assert sorted(formats) == sorted(cli.FORMATS), command
+
+
+def test_arith_ceilings_reach_every_ceiling_constant():
+    # Every public ceiling constant, and the CLI's index ceiling, is reached
+    # by a line of the set, so each ceiling has its measured line; a new
+    # public ceiling fails here until the set reaches it.
+    reached = defaultdict(set)
+    lines = bench_cli.SETS["arith-ceilings"]
+    for line, a in zip(lines, parsed_set("arith-ceilings")):
+        if a.command == "gen":
+            reached["SEQUENCE_MAX_INDEX"].add(a.range[1])
+        elif a.command == "difftable":
+            reached["DIFFERENCE_MAX_ROWS"].add(a.rows)
+        elif a.command == "represent":
+            # the digits of the target as written, sign apart
+            reached["REPRESENT_MAX_DIGITS"].add(len(line.split()[2].lstrip("+-")))
+        elif a.command == "period":
+            lo, hi = a.range
+            reached["PERIOD_MAX_MODULUS"].add(hi)
+            reached["PERIOD_MAX_MODULI"].add(hi - lo + 1)
+        elif a.command == "verify-identities":
+            reached["IDENTITY_MAX_INDEX"].add(a.range[1])
+    ceilings = {name: getattr(platonics, name) for name in platonics.__all__}
+    ceilings = {name: value for name, value in ceilings.items() if "_MAX_" in name}
+    ceilings["IDENTITY_MAX_INDEX"] = cli.IDENTITY_MAX_INDEX
+    assert reached.keys() == ceilings.keys()
+    for name, value in ceilings.items():
+        assert value in reached[name], name
 
 
 def test_a_set_or_a_command_line_is_required(tmp_path):

@@ -1,5 +1,6 @@
 """Difference identities: closed-form sides vs raw-value differences."""
 
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,11 +12,12 @@ from platonics import (
     THIRD_DIFFERENCE_CONSTANTS,
     combined_residual_tetrahedral,
     expected_difference,
+    identities,
     identity_residual,
     platonic_value,
     sequences,
 )
-from platonics.identities import _identity_checks
+from platonics.identities import _identity_columns
 
 
 def test_second_order_dodecahedral_at_one():
@@ -60,22 +62,20 @@ def test_identities_hold_over_range(kind, order):
 def test_identity_checks_match_binomial_sums(kind, lo, width):
     # Independent oracle: the order-k forward difference at n is
     # sum_j (-1)**(k-j) * C(k, j) * f(n+j), with no differencing code shared.
-    # One call covers every order, order-major.
+    # One call covers every order, one pair of columns per order.
     hi = lo + width
-    checks = list(_identity_checks(kind, lo, hi))
-    indices = list(range(lo, hi + 1))
-    assert [(c.order, c.index) for c in checks] == [
-        (order, n) for order in range(1, 5) for n in indices
-    ]
-    for check in checks:
-        n, order = check.index, check.order
-        oracle = sum(
-            (-1) ** (order - j) * comb(order, j) * platonic_value(kind, n + j)
-            for j in range(order + 1)
-        )
-        assert check.kind == kind
-        assert check.actual == oracle
-        assert check.holds
+    columns = _identity_columns(kind, lo, hi)
+    assert len(columns) == 4
+    for order, (expected, actual) in enumerate(columns, 1):
+        oracle = [
+            sum(
+                (-1) ** (order - j) * comb(order, j) * platonic_value(kind, n + j)
+                for j in range(order + 1)
+            )
+            for n in range(lo, hi + 1)
+        ]
+        assert actual == oracle
+        assert expected == oracle
 
 
 @pytest.mark.parametrize("kind", list(PlatonicKind))
@@ -93,8 +93,36 @@ def test_identity_checks_compute_each_value_once(kind, monkeypatch):
     monkeypatch.setattr(sequences, "platonic_value", counting)
     for lo, hi in [(1, 1), (1, 50), (999_990, 10**6)]:
         calls = 0
-        assert len(list(_identity_checks(kind, lo, hi))) == 4 * (hi - lo + 1)
+        columns = _identity_columns(kind, lo, hi)
+        assert [len(c) for pair in columns for c in pair] == [hi - lo + 1] * 8
         assert calls == hi - lo + 5
+
+
+def exact_difference(kind, order, n):
+    """The order-k forward difference at n of the exact values N(m)/q of a
+    family's closed-form numerator N and divisor q, as a Fraction."""
+    numerator, divisor = sequences._CLOSED_FORMS[kind]
+    values = [Fraction(numerator(m), divisor) for m in range(n, n + order + 1)]
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values[0]
+
+
+@pytest.mark.parametrize("kind", list(PlatonicKind))
+def test_identities_hold_at_every_index(kind):
+    # A certificate, not a sample.  Each family is a cubic in n, so its
+    # order-k difference is a polynomial of degree 3 - k, and each order-1
+    # and order-2 right-hand side below is written as a polynomial of degree
+    # <= 2 in n.  Two such polynomials that agree at three points are equal,
+    # so n = 1, 2, 3 prove those identities at every n; orders 3 and 4
+    # compare constants, so n = 1 proves them.
+    first = identities._FIRST_DIFFERENCE_RHS[kind]
+    second = identities._SECOND_DIFFERENCE_RHS[kind]
+    for n in (1, 2, 3):
+        assert first(n) == exact_difference(kind, 1, n)
+        assert second(n) == exact_difference(kind, 2, n)
+    assert THIRD_DIFFERENCE_CONSTANTS[kind] == exact_difference(kind, 3, 1)
+    assert exact_difference(kind, 4, 1) == 0
 
 
 def test_third_order_constants():

@@ -95,6 +95,32 @@ def test_three_residue_certificate_matches_full_window(kind, d):
     assert empirical_period(kind, d) == naive_min_period(kind, d)
 
 
+def test_period_columns_match_the_oracle_and_the_cube_law(tmp_path):
+    # One `period` run over 14,995 claims, checked row by row against the
+    # closed form, against the full-window oracle for d <= 60, and against
+    # the law that the minimal period is the closed form for every family
+    # and d but the cubes with 9 | d, where it is d/3.  Once 3 | d,
+    # (n + d/3)**3 - n**3 = (d/3)**3 mod d, which is 0 exactly when 9 | d.
+    out = tmp_path / "period.csv"
+    argv = ["period", "all", "2..3000", "--format", "csv", "--out", str(out)]
+    assert cli.main(argv) == 0
+    header, *lines = out.read_text().splitlines()
+    assert header == "kind,d,closed_form,empirical,agrees"
+    rows = [line.split(",") for line in lines]
+    assert [(name, int(d)) for name, d, *_ in rows] == [
+        (kind.value, d) for kind in PlatonicKind for d in range(2, 3001)
+    ]
+    for name, d_text, closed_text, empirical_text, agrees in rows:
+        kind, d = PlatonicKind(name), int(d_text)
+        closed, empirical = int(closed_text), int(empirical_text)
+        assert closed == closed_form_period(kind, d)
+        if d <= 60:
+            assert empirical == naive_min_period(kind, d)
+        cube_law = kind is PlatonicKind.CUBE and d % 9 == 0
+        assert empirical == (d // 3 if cube_law else closed)
+        assert agrees == ("false" if cube_law else "true")
+
+
 def test_detector_strips_each_prime_down_to_the_minimum(monkeypatch):
     # No platonic family needs a prime stripped twice, so a stand-in
     # sequence of minimal period 6 under a claimed period of 2**3 * 3**3 * 5
